@@ -7,9 +7,10 @@ use darkvec::pipeline::{run as run_pipeline, TrainedModel};
 use darkvec_gen::{simulate, GroundTruth, GtClass, SimConfig, SimOutput};
 use darkvec_ml::ann::NeighborBackend;
 use darkvec_types::{io, Ipv4, Trace};
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashMap};
+use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock};
+use std::thread::ThreadId;
 
 /// Experiment context with lazily computed, cached artifacts.
 pub struct Ctx {
@@ -46,12 +47,18 @@ impl Ctx {
         }
     }
 
-    /// A context for integration tests: tiny scale, quiet, temp output.
-    pub fn for_tests(seed: u64) -> Self {
-        let mut ctx = Ctx::new(
-            SimConfig::tiny(seed),
-            std::env::temp_dir().join(format!("darkvec-xp-{seed}")),
-        );
+    /// A context for tests: tiny scale, quiet, writing under its own temp
+    /// directory `darkvec-xp-<seed>-<test>`, where `test` names the
+    /// calling test. Tests run in parallel and clear their directories,
+    /// so two tests sharing one would delete each other's artifacts.
+    ///
+    /// # Panics
+    /// Panics if a different test thread of this process already built a
+    /// context over the same directory. One test may build several.
+    pub fn for_tests(seed: u64, test: &str) -> Self {
+        let out_dir = std::env::temp_dir().join(format!("darkvec-xp-{seed}-{test}"));
+        claim_test_dir(&out_dir);
+        let mut ctx = Ctx::new(SimConfig::tiny(seed), out_dir);
         ctx.verbose = false;
         ctx.smoke = true;
         ctx
@@ -183,6 +190,21 @@ impl Ctx {
     }
 }
 
+/// Records the test thread that owns each test-context directory, and
+/// panics when another thread asks for the same one.
+fn claim_test_dir(dir: &Path) {
+    static OWNERS: Mutex<BTreeMap<PathBuf, ThreadId>> = Mutex::new(BTreeMap::new());
+    let me = std::thread::current().id();
+    let mut owners = OWNERS.lock().unwrap_or_else(|e| e.into_inner());
+    let owner = *owners.entry(dir.to_path_buf()).or_insert(me);
+    assert_eq!(
+        owner,
+        me,
+        "two tests share the context directory {}",
+        dir.display()
+    );
+}
+
 /// Rebuilds the ground truth without realising packets (campaign building
 /// is independent of schedule realisation).
 fn rebuild_truth(cfg: &SimConfig) -> GroundTruth {
@@ -214,11 +236,11 @@ mod tests {
 
     #[test]
     fn ctx_caches_trace_on_disk() {
-        let ctx = Ctx::for_tests(32);
+        let ctx = Ctx::for_tests(32, "ctx_caches_trace_on_disk");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let first_len = ctx.sim().trace.len();
         // A second context at the same scale loads from cache and agrees.
-        let ctx2 = Ctx::for_tests(32);
+        let ctx2 = Ctx::for_tests(32, "ctx_caches_trace_on_disk");
         assert_eq!(ctx2.sim().trace.len(), first_len);
         assert_eq!(ctx2.sim().trace, ctx.sim().trace);
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
@@ -226,7 +248,7 @@ mod tests {
 
     #[test]
     fn last_day_labels_are_present_and_month_active() {
-        let ctx = Ctx::for_tests(33);
+        let ctx = Ctx::for_tests(33, "last_day_labels_are_present_and_month_active");
         let labels = ctx.last_day_labels();
         let active = ctx.trace().active_senders(10);
         let last = ctx.trace().last_day().senders();
@@ -237,8 +259,20 @@ mod tests {
     }
 
     #[test]
+    fn two_tests_cannot_share_a_context_dir() {
+        let _ctx = Ctx::for_tests(35, "two_tests_cannot_share_a_context_dir");
+        // A second thread stands in for another test claiming the same
+        // (seed, name) pair.
+        let clash = std::thread::spawn(|| {
+            Ctx::for_tests(35, "two_tests_cannot_share_a_context_dir");
+        })
+        .join();
+        assert!(clash.is_err(), "a shared context directory went unnoticed");
+    }
+
+    #[test]
     fn write_artifact_creates_file() {
-        let ctx = Ctx::for_tests(34);
+        let ctx = Ctx::for_tests(34, "write_artifact_creates_file");
         let path = ctx.write_artifact("sub/test.txt", "hello");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "hello");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);

@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn smoke_ann_runs_gates_and_writes_bench() {
-        let ctx = Ctx::for_tests(98);
+        let ctx = Ctx::for_tests(98, "smoke_ann_runs_gates_and_writes_bench");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = ann(&ctx);
         assert!(out.contains("recall gate"));
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn campaign_matrix_is_deterministic_and_cycles() {
-        let ctx = Ctx::for_tests(99);
+        let ctx = Ctx::for_tests(99, "campaign_matrix_is_deterministic_and_cycles");
         let a = campaign_matrix(&ctx, 500);
         let b = campaign_matrix(&ctx, 500);
         assert_eq!(a.data(), b.data());

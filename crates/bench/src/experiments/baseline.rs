@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn baseline_runs_and_reports_all_classes() {
-        let ctx = Ctx::for_tests(61);
+        let ctx = Ctx::for_tests(61, "baseline_runs_and_reports_all_classes");
         let out = table6(&ctx);
         assert!(out.contains("Mirai-like"));
         assert!(out.contains("accuracy over GT classes"));

@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn table2_lists_all_gt_classes() {
-        let ctx = Ctx::for_tests(51);
+        let ctx = Ctx::for_tests(51, "table2_lists_all_gt_classes");
         let out = table2(&ctx);
         for class in [
             GtClass::MiraiLike,
@@ -142,7 +142,7 @@ mod tests {
 
     #[test]
     fn fig3_engin_is_pure_dns() {
-        let ctx = Ctx::for_tests(52);
+        let ctx = Ctx::for_tests(52, "fig3_engin_is_pure_dns");
         let out = fig3(&ctx);
         // Find the DNS row and the Engin-umich column: must be 100%.
         let header_line = out.lines().find(|l| l.starts_with("service")).unwrap();

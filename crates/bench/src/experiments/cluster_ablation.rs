@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn ablation_runs_and_louvain_leads() {
-        let ctx = Ctx::for_tests(98);
+        let ctx = Ctx::for_tests(98, "ablation_runs_and_louvain_leads");
         let out = cluster_ablation(&ctx);
         assert!(out.contains("kNN-graph + Louvain"));
         assert!(out.contains("k-Means"));

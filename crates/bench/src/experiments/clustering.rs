@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn fig10_and_table5_run_end_to_end() {
-        let ctx = Ctx::for_tests(95);
+        let ctx = Ctx::for_tests(95, "fig10_and_table5_run_end_to_end");
         let out10 = fig10(&ctx);
         assert!(out10.contains("modularity"));
         let out5 = table5(&ctx);

@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn table1_reports_both_spans() {
-        let ctx = Ctx::for_tests(41);
+        let ctx = Ctx::for_tests(41, "table1_reports_both_spans");
         let out = table1(&ctx);
         assert!(out.contains("30 days"));
         assert!(out.contains("last day"));
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn fig2_reports_filter_effect() {
-        let ctx = Ctx::for_tests(42);
+        let ctx = Ctx::for_tests(42, "fig2_reports_filter_effect");
         let out = fig2(&ctx);
         assert!(out.contains("active (>=10 pkts)"));
         assert!(out.contains("Figure 2b"));
@@ -205,7 +205,7 @@ mod tests {
 
     #[test]
     fn raster_csv_covers_all_senders() {
-        let ctx = Ctx::for_tests(43);
+        let ctx = Ctx::for_tests(43, "raster_csv_covers_all_senders");
         let csv = raster_csv(ctx.trace());
         let senders: std::collections::HashSet<&str> = csv
             .lines()

@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn smoke_incremental_runs_gates_and_writes_bench() {
-        let ctx = Ctx::for_tests(97);
+        let ctx = Ctx::for_tests(97, "smoke_incremental_runs_gates_and_writes_bench");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = incremental(&ctx);
         assert!(out.contains("speedup"), "{out}");

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn registry_covers_every_id() {
-        let ctx = Ctx::for_tests(90);
+        let ctx = Ctx::for_tests(90, "registry_covers_every_id");
         // Cheap experiments only — expensive ones have their own tests.
         {
             let id = "table7";

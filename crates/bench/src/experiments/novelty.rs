@@ -487,7 +487,7 @@ mod tests {
 
     #[test]
     fn smoke_novelty_detects_injected_groups_and_writes_bench() {
-        let ctx = Ctx::for_tests(98);
+        let ctx = Ctx::for_tests(98, "smoke_novelty_detects_injected_groups_and_writes_bench");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = novelty(&ctx);
         assert!(!out.contains("FAIL"), "{out}");

@@ -60,7 +60,7 @@ mod tests {
 
     #[test]
     fn domain_report_runs_and_includes_engin() {
-        let ctx = Ctx::for_tests(81);
+        let ctx = Ctx::for_tests(81, "domain_report_runs_and_includes_engin");
         let report = service_report(&ctx, ServiceDef::DomainKnowledge, 10, 7);
         let engin = report.row("Engin-umich").expect("engin row");
         assert!(engin.support > 0);

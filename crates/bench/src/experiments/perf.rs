@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn smoke_perf_runs_and_writes_bench_files() {
-        let ctx = Ctx::for_tests(97);
+        let ctx = Ctx::for_tests(97, "smoke_perf_runs_and_writes_bench_files");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = perf(&ctx);
         assert!(out.contains("w2v train"));

@@ -476,7 +476,7 @@ mod tests {
 
     #[test]
     fn smoke_scale_runs_gates_and_writes_bench() {
-        let ctx = Ctx::for_tests(101);
+        let ctx = Ctx::for_tests(101, "smoke_scale_runs_gates_and_writes_bench");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = scale(&ctx);
         assert!(out.contains("recall gate"));

@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn smoke_serve_runs_gates_and_writes_bench() {
-        let ctx = Ctx::for_tests(99);
+        let ctx = Ctx::for_tests(99, "smoke_serve_runs_gates_and_writes_bench");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
         let out = serve(&ctx);
         assert!(!out.contains("FAIL"), "{out}");

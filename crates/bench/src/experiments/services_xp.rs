@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn table7_lists_all_services() {
-        let ctx = Ctx::for_tests(96);
+        let ctx = Ctx::for_tests(96, "table7_lists_all_services");
         let out = table7(&ctx);
         for name in [
             "Telnet",

@@ -73,7 +73,7 @@ mod tests {
 
     #[test]
     fn transfer_report_has_three_rows() {
-        let ctx = Ctx::for_tests(97);
+        let ctx = Ctx::for_tests(97, "transfer_report_has_three_rows");
         let out = transfer(&ctx);
         assert!(out.contains("first half"));
         assert!(out.contains("full capture"));

@@ -164,7 +164,7 @@ mod tests {
 
     #[test]
     fn fig6_coverage_grows_with_window() {
-        let ctx = Ctx::for_tests(71);
+        let ctx = Ctx::for_tests(71, "fig6_coverage_grows_with_window");
         let out = fig6(&ctx);
         assert!(out.contains("training days"));
         // Extract coverage column values and check monotonic growth.

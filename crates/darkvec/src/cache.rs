@@ -283,9 +283,20 @@ mod tests {
         assert!(cache.load("model", 1).is_none());
         cache.store("model", 1, b"payload").unwrap();
         assert!(cache.load("model", 1).is_some());
-        assert_eq!(hit.count() - h0, 1);
-        assert_eq!(miss.count() - m0, 1);
-        assert_eq!(store.count() - s0, 1);
+        // The histograms are process-wide and other tests in this binary
+        // use caches concurrently: each grew by at least this test's one
+        // call, and the cache's own counters pin the exact calls.
+        assert!(hit.count() - h0 >= 1);
+        assert!(miss.count() - m0 >= 1);
+        assert!(store.count() - s0 >= 1);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                stores: 1
+            }
+        );
         assert!(store.quantile(0.99) > 0, "store latency is non-zero");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -5,7 +5,8 @@
 //! and the classic clustering algorithms. All of them reduce to four
 //! primitives over `f32` slices —
 //!
-//! * [`dot`] — inner product;
+//! * [`dot`] — inner product, and [`dot_rows`], one vector against every
+//!   row of a block, bit-identical to `dot` per row;
 //! * [`axpy`] — `y += α·x`;
 //! * [`scale`] — `y *= α`;
 //! * [`scale_add`] — `y = α·y + x`;
@@ -227,6 +228,50 @@ pub fn dot_on(path: Path, a: &[f32], b: &[f32]) -> f32 {
         x86::dot(a, b),
         neon::dot(a, b)
     )
+}
+
+/// Inner products of one vector with every row of a row-major block:
+/// `out[r] = dot(q, rows[r·d..(r + 1)·d])` with `d = q.len()`.
+///
+/// The scoring step of the exact kNN scan, which rates one query against
+/// a whole tile of candidates per call: one dispatch per call instead of
+/// one per row, and on AVX2 four rows share every load of `q`. Each
+/// `out[r]` has the same bits as [`dot`] on the same path — the
+/// multi-row form changes speed, never a result.
+///
+/// # Panics
+/// Panics if `rows.len() != q.len() * out.len()`.
+#[inline]
+pub fn dot_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
+    dot_rows_on(active_path(), q, rows, out);
+}
+
+/// [`dot_rows`] on an explicit path (parity tests and benchmarks). The
+/// contract, asserted for every path by the parity suite, is
+/// `out[r].to_bits() == dot_on(path, q, row r).to_bits()`.
+///
+/// # Panics
+/// Panics if `rows.len() != q.len() * out.len()`.
+pub fn dot_rows_on(path: Path, q: &[f32], rows: &[f32], out: &mut [f32]) {
+    // This shape check is also the AVX2 kernel's length contract.
+    assert_eq!(rows.len(), q.len() * out.len(), "dot_rows shape mismatch");
+    on_path!(
+        path,
+        dot_each_row(q, rows, out, scalar::dot),
+        dot_each_row(q, rows, out, portable::dot),
+        x86::dot_rows(q, rows, out),
+        dot_each_row(q, rows, out, |a, b| neon::dot(a, b))
+    )
+}
+
+/// [`dot_rows`] for paths without a multi-row kernel: that path's `dot`
+/// row by row, bit-identical to it by construction.
+#[inline]
+fn dot_each_row(q: &[f32], rows: &[f32], out: &mut [f32], dot: impl Fn(&[f32], &[f32]) -> f32) {
+    let d = q.len();
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = dot(q, &rows[r * d..(r + 1) * d]);
+    }
 }
 
 /// Quantized inner product `Σ a[i]·b[i]` over `i8` codes, accumulated in

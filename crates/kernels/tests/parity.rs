@@ -4,8 +4,8 @@
 //! misaligned sub-slices (SIMD paths must not assume alignment).
 
 use darkvec_kernels::{
-    available_paths, axpy_on, dot_i8_on, dot_on, force_path, hogwild, normalize_rows_on,
-    scale_add_on, scale_on, squared_norm, Path,
+    available_paths, axpy_on, dot_i8_on, dot_on, dot_rows_on, force_path, hogwild,
+    normalize_rows_on, scale_add_on, scale_on, squared_norm, Path,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -84,6 +84,78 @@ fn dot_matches_scalar_on_every_path() {
             }
         }
     }
+}
+
+/// Row widths for the multi-row dot: both sides of every 8- and
+/// 16-element stride boundary, the embedding width (50) and a long prime.
+const ROW_DIMS: &[usize] = &[1, 7, 8, 9, 15, 16, 17, 31, 48, 50, 63, 64, 65, 257];
+
+/// Asserts `dot_rows_on(p, q, rows)[r]` has the bits of
+/// `dot_on(p, q, row r)` for every row and every available path.
+fn assert_dot_rows_bit_identical(q: &[f32], rows: &[f32], what: &str) {
+    let d = q.len();
+    let n = rows.len() / d;
+    for path in available_paths() {
+        let mut got = vec![f32::INFINITY; n];
+        dot_rows_on(path, q, rows, &mut got);
+        for (r, g) in got.iter().enumerate() {
+            let want = dot_on(path, q, &rows[r * d..(r + 1) * d]);
+            assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "dot_rows {what} row {r} {path:?}: got {g}, want {want}"
+            );
+        }
+    }
+}
+
+/// `dot_rows` is `dot` row by row, bit for bit, on every path: row
+/// counts 0–9 cover the 4-row kernel's remainder, and offset sub-slices
+/// start `q` and the rows off their natural alignment.
+#[test]
+fn dot_rows_matches_dot_bit_exactly_on_every_path() {
+    let mut rng = Rng(99);
+    for &dim in ROW_DIMS {
+        for n in 0..=9 {
+            for &off in OFFSETS {
+                let q = rng.vec(dim + off);
+                let rows = rng.vec(n * dim + off);
+                assert_dot_rows_bit_identical(
+                    &q[off..],
+                    &rows[off..],
+                    &format!("dim={dim} rows={n} off={off}"),
+                );
+            }
+        }
+    }
+}
+
+/// Zero rows, signed zeros and a NaN element keep the bit contract: a
+/// signed-zero sum or a propagated NaN has the same bits `dot` gives.
+#[test]
+fn dot_rows_special_values_match_dot() {
+    let mut rng = Rng(100);
+    for &dim in ROW_DIMS {
+        let n = 9;
+        let mut q = rng.vec(dim);
+        let mut rows = rng.vec(n * dim);
+        rows[dim..2 * dim].fill(0.0);
+        for (i, x) in rows[2 * dim..3 * dim].iter_mut().enumerate() {
+            *x = if i % 2 == 0 { -0.0 } else { 0.0 };
+        }
+        rows[5 * dim + dim / 2] = f32::NAN;
+        rows[8 * dim] = f32::NAN;
+        assert_dot_rows_bit_identical(&q, &rows, &format!("special dim={dim}"));
+        // An all-negative-zero query makes every product a signed zero.
+        q.fill(-0.0);
+        assert_dot_rows_bit_identical(&q, &rows, &format!("-0 query dim={dim}"));
+    }
+}
+
+#[test]
+#[should_panic(expected = "dot_rows shape mismatch")]
+fn dot_rows_rejects_ragged_rows() {
+    dot_rows_on(Path::Scalar, &[1.0, 2.0], &[1.0, 2.0, 3.0], &mut [0.0; 2]);
 }
 
 /// The quantized dot is all-integer, so parity is *exact* equality — no

@@ -3,16 +3,24 @@
 //! DarkVec's embeddings have 10^4–10^5 rows of 50 dimensions, where exact
 //! brute force (normalise once, then dot products) is both simple and fast —
 //! a few hundred million fused multiply-adds, spread over cores with
-//! crossbeam scoped threads.
+//! crossbeam scoped threads (a search that would get one chunk runs
+//! inline and spawns nothing).
 //!
 //! The scan is cache-blocked: queries advance in blocks of
 //! [`QUERY_BLOCK`] over candidate tiles of [`TILE_ROWS`] rows, so each
 //! ~50 KB tile is read from memory once per query block instead of once
-//! per query. Tiles and rows are visited in ascending index order — the
-//! exact candidate order of a row-at-a-time scan — so results (including
-//! tie-breaking) are identical to the unblocked form.
+//! per query. Per query and tile, one [`dot_rows`] call fills a stack
+//! buffer with the query's similarity to every row of the tile — the
+//! same bits a per-pair `dot` gives. The buffer is then walked in
+//! ascending row order against a running threshold, the query's current
+//! k-th best similarity: a score that is not above it is dropped without
+//! touching the list, which is [`insert_bounded`]'s own first test done
+//! early. Tiles and rows are visited in ascending index order — the exact
+//! candidate order of a row-at-a-time scan — so results (including
+//! tie-breaking and NaN handling) are identical to the unblocked form.
 
-use crate::vectors::{dot, normalize_vec, Matrix, NormalizedMatrix};
+use crate::vectors::{normalize_vec, Matrix, NormalizedMatrix};
+use darkvec_kernels::dot_rows;
 use std::time::Instant;
 
 /// Candidate rows per cache tile (× 50 dims × 4 bytes ≈ 50 KB, sized for
@@ -64,7 +72,27 @@ pub fn knn_all_normalized(
     }
     darkvec_obs::metrics::counter("ml.knn.queries").add(n as u64);
     let start = Instant::now();
+    let dim = normed.dim();
+    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
+    for_each_chunk(&mut results, threads, |base, out| {
+        let queries = &normed.data()[base * dim..(base + out.len()) * dim];
+        scan_tiled(normed, queries, Some(base), out, k);
+    });
+    darkvec_obs::metrics::gauge("ml.knn.rows_per_sec")
+        .set(n as f64 / start.elapsed().as_secs_f64().max(1e-9));
+    results
+}
 
+/// Splits `results` into one contiguous chunk per worker (`threads = 0`:
+/// one per core, never more than one per query) and runs
+/// `scan(first_query, chunk)` on each, in crossbeam scoped threads under
+/// an `ml.knn.chunk` span. A search that would get a single chunk runs
+/// inline instead: no scope, no thread, no worker span — the serve
+/// daemon classifies one query at a time this way.
+fn for_each_chunk<F>(results: &mut [Vec<Neighbor>], threads: usize, scan: F)
+where
+    F: Fn(usize, &mut [Vec<Neighbor>]) + Sync,
+{
     let threads = if threads > 0 {
         threads
     } else {
@@ -72,31 +100,23 @@ pub fn knn_all_normalized(
             .map(|t| t.get())
             .unwrap_or(1)
     }
-    .min(n);
-
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    let chunk = n.div_ceil(threads);
+    .min(results.len());
+    if threads <= 1 {
+        scan(0, results);
+        return;
+    }
+    let chunk = results.len().div_ceil(threads);
     let ctx = darkvec_obs::span::context();
+    let scan = &scan;
     crossbeam::scope(|scope| {
         for (c, out) in results.chunks_mut(chunk).enumerate() {
             scope.spawn(move |_| {
                 let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
-                knn_chunk(normed, c * chunk, out, k);
+                scan(c * chunk, out);
             });
         }
     })
     .expect("knn worker panicked");
-    darkvec_obs::metrics::gauge("ml.knn.rows_per_sec")
-        .set(n as f64 / start.elapsed().as_secs_f64().max(1e-9));
-    results
-}
-
-/// Neighbour search for the query rows `base..base + out.len()`, blocked
-/// over candidate tiles so a tile stays cache-hot across a query block.
-fn knn_chunk(normed: &NormalizedMatrix, base: usize, out: &mut [Vec<Neighbor>], k: usize) {
-    let dim = normed.dim();
-    let queries = &normed.data()[base * dim..(base + out.len()) * dim];
-    scan_tiled(normed, queries, Some(base), out, k);
 }
 
 /// The shared cache-blocked scan: for each `dim`-sized row of `queries`
@@ -114,20 +134,25 @@ fn scan_tiled(
     let dim = normed.dim();
     debug_assert_eq!(queries.len(), out.len() * dim);
     let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
+    let mut scores = [0.0f32; TILE_ROWS];
     for (b, block) in out.chunks_mut(QUERY_BLOCK).enumerate() {
         let block_started = Instant::now();
         let qbase = b * QUERY_BLOCK;
         for tile_start in (0..n).step_by(TILE_ROWS) {
             let tile_end = (tile_start + TILE_ROWS).min(n);
+            let tile = &normed.data()[tile_start * dim..tile_end * dim];
+            let scores = &mut scores[..tile_end - tile_start];
             for (off, best) in block.iter_mut().enumerate() {
                 let qi = qbase + off;
-                let q = &queries[qi * dim..(qi + 1) * dim];
                 let skip = exclude_base.map(|base| base + qi).unwrap_or(usize::MAX);
-                for i in tile_start..tile_end {
-                    if i == skip {
+                dot_rows(&queries[qi * dim..(qi + 1) * dim], tile, scores);
+                let mut thr = threshold(best, k);
+                for (r, &s) in scores.iter().enumerate() {
+                    if s <= thr || tile_start + r == skip {
                         continue;
                     }
-                    insert_bounded(best, k, i, dot(q, normed.row(i)));
+                    insert_bounded(best, k, tile_start + r, s);
+                    thr = threshold(best, k);
                 }
             }
         }
@@ -140,6 +165,20 @@ fn scan_tiled(
         for _ in 0..block.len() {
             query_latency.record(per_query_ns);
         }
+    }
+}
+
+/// The score a candidate must beat to enter `best`: the k-th best so far,
+/// or NaN while `best` holds fewer than `k`. Nothing compares `<=` NaN,
+/// so an unfilled list — like one whose k-th similarity is NaN — lets
+/// every candidate through to [`insert_bounded`], exactly as its own
+/// first test would.
+#[inline]
+fn threshold(best: &[Neighbor], k: usize) -> f32 {
+    if best.len() == k {
+        best[k - 1].similarity
+    } else {
+        f32::NAN
     }
 }
 
@@ -210,29 +249,11 @@ pub fn knn_batch(
     darkvec_obs::metrics::counter("ml.knn.queries").add(nq as u64);
     let mut normed_q = queries.to_vec();
     crate::vectors::normalize_rows(&mut normed_q, dim);
-
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    }
-    .min(nq);
-
     let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
-    let chunk = nq.div_ceil(threads);
-    let ctx = darkvec_obs::span::context();
-    crossbeam::scope(|scope| {
-        for (c, out) in results.chunks_mut(chunk).enumerate() {
-            let q = &normed_q[c * chunk * dim..(c * chunk + out.len()) * dim];
-            scope.spawn(move |_| {
-                let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
-                scan_tiled(normed, q, None, out, k);
-            });
-        }
-    })
-    .expect("knn_batch worker panicked");
+    for_each_chunk(&mut results, threads, |base, out| {
+        let q = &normed_q[base * dim..(base + out.len()) * dim];
+        scan_tiled(normed, q, None, out, k);
+    });
     results
 }
 
@@ -361,6 +382,36 @@ mod tests {
         assert_eq!(
             knn_batch(&normed, &queries, 3, 1),
             knn_batch(&normed, &queries, 3, 4)
+        );
+    }
+
+    #[test]
+    fn one_chunk_searches_run_inline() {
+        let data = grouped_matrix();
+        let normed = Matrix::new(&data, 12, 2).normalized();
+        let queries: Vec<f32> = (0..10).flat_map(|i| [1.0 - 0.1 * i as f32, 0.2]).collect();
+        // Unique root spans keep this test's subtrees apart from other
+        // tests' searches in the process-wide span registry.
+        {
+            let _root = darkvec_obs::span!("test.knn.one_chunk");
+            knn_batch(&normed, &queries, 3, 1);
+            knn_all_normalized(&normed, 3, 1);
+        }
+        {
+            let _root = darkvec_obs::span!("test.knn.two_chunks");
+            knn_batch(&normed, &queries, 3, 2);
+        }
+        let tree = darkvec_obs::span::snapshot();
+        let root = |name| tree.iter().find(|n| n.name == name).expect("root span");
+        let inline = root("test.knn.one_chunk");
+        assert!(inline.child("ml.knn_batch").is_some());
+        assert!(inline.child("ml.knn").is_some());
+        assert!(inline.find("ml.knn.chunk").is_none(), "{inline:?}");
+        let spawned = root("test.knn.two_chunks");
+        assert_eq!(
+            spawned.find("ml.knn.chunk").map(|n| n.count),
+            Some(2),
+            "{spawned:?}"
         );
     }
 

@@ -1,15 +1,117 @@
 //! Property-based tests for kNN and the classification metrics.
 
 use darkvec_ml::classifier::loo_knn_classify;
-use darkvec_ml::knn::knn_all;
+use darkvec_ml::knn::{knn_all, knn_all_normalized, knn_batch, knn_query_normalized, Neighbor};
 use darkvec_ml::metrics::ConfusionMatrix;
-use darkvec_ml::vectors::{cosine, normalize_rows, Matrix};
+use darkvec_ml::vectors::{cosine, dot, normalize_rows, normalize_vec, Matrix, NormalizedMatrix};
 use proptest::prelude::*;
 
 fn arb_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
     (2usize..25, 2usize..6).prop_flat_map(|(rows, dim)| {
         prop::collection::vec(-10.0f32..10.0, rows * dim).prop_map(move |data| (data, rows, dim))
     })
+}
+
+/// Sizes for the scan reference test: past one 256-row tile and an
+/// 8-query block natively, a handful of rows under Miri.
+const TIED_ROWS: std::ops::Range<usize> = if cfg!(miri) { 2..10 } else { 2..300 };
+const TIED_DIMS: std::ops::Range<usize> = if cfg!(miri) { 1..6 } else { 1..20 };
+
+/// A matrix with exact ties and one NaN row: entries in [-1, 1), every
+/// third row overwritten by a copy of a random earlier row, and one row
+/// all NaN.
+fn arb_tied_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
+    (TIED_ROWS, TIED_DIMS).prop_flat_map(|(rows, dim)| {
+        (
+            prop::collection::vec(-1.0f32..1.0, rows * dim),
+            prop::collection::vec(0usize..rows, rows),
+            0usize..rows,
+        )
+            .prop_map(move |(mut data, copy_from, nan_row)| {
+                for (i, &src) in copy_from.iter().enumerate() {
+                    if i % 3 == 0 && src < i {
+                        data.copy_within(src * dim..(src + 1) * dim, i * dim);
+                    }
+                }
+                data[nan_row * dim..(nan_row + 1) * dim].fill(f32::NAN);
+                (data, rows, dim)
+            })
+    })
+}
+
+/// The scan every exact search must reproduce: rows in ascending order,
+/// one `dot` per pair, bounded sorted insertion (equal scores keep the
+/// earlier row ahead; nothing compares `<=` NaN, so NaN scores go in).
+fn naive_knn(normed: &NormalizedMatrix, q: &[f32], skip: Option<usize>, k: usize) -> Vec<Neighbor> {
+    let mut best: Vec<Neighbor> = Vec::new();
+    for i in (0..normed.rows()).filter(|&i| Some(i) != skip) {
+        let similarity = dot(q, normed.row(i));
+        if best.len() == k && similarity <= best[k - 1].similarity {
+            continue;
+        }
+        let pos = best.partition_point(|b| b.similarity >= similarity);
+        best.insert(
+            pos,
+            Neighbor {
+                index: i,
+                similarity,
+            },
+        );
+        best.truncate(k);
+    }
+    best
+}
+
+/// Neighbour lists as (index, similarity bits): equality on these is
+/// bit-identity, NaN included.
+fn bits(lists: &[Vec<Neighbor>]) -> Vec<Vec<(usize, u32)>> {
+    lists
+        .iter()
+        .map(|l| {
+            l.iter()
+                .map(|n| (n.index, n.similarity.to_bits()))
+                .collect()
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 32 }))]
+
+    #[test]
+    fn knn_scans_match_the_naive_reference_bit_for_bit(
+        (data, rows, dim) in arb_tied_matrix(),
+        k in 1usize..12,
+    ) {
+        let normed = NormalizedMatrix::from_rows(&data, dim);
+        let want_all: Vec<Vec<Neighbor>> = (0..rows)
+            .map(|i| naive_knn(&normed, normed.row(i), Some(i), k))
+            .collect();
+        for threads in [1, 2, 3] {
+            prop_assert_eq!(
+                bits(&knn_all_normalized(&normed, k, threads)),
+                bits(&want_all),
+                "knn_all_normalized, {} threads", threads
+            );
+        }
+
+        // The raw rows as external queries: normalised inside the search,
+        // nothing excluded.
+        let want_ext: Vec<Vec<Neighbor>> = data
+            .chunks(dim)
+            .map(|raw| {
+                let mut q = raw.to_vec();
+                normalize_vec(&mut q);
+                naive_knn(&normed, &q, None, k)
+            })
+            .collect();
+        prop_assert_eq!(bits(&knn_batch(&normed, &data, k, 2)), bits(&want_ext));
+        let single: Vec<Vec<Neighbor>> = data
+            .chunks(dim)
+            .map(|raw| knn_query_normalized(&normed, raw, k))
+            .collect();
+        prop_assert_eq!(bits(&single), bits(&want_ext));
+    }
 }
 
 proptest! {
