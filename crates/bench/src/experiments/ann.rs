@@ -22,7 +22,6 @@ use crate::Ctx;
 use darkvec_ml::ann::{recall_at_k, HnswConfig, HnswIndex};
 use darkvec_ml::knn::knn_all_normalized;
 use darkvec_ml::vectors::NormalizedMatrix;
-use darkvec_ml::QuantizedMatrix;
 use darkvec_obs::Json;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -52,8 +51,7 @@ struct SizePoint {
     exact_secs: f64,
     exact_qps: f64,
     build_secs: f64,
-    /// Index memory per backend: f32 rows, HNSW rows + graph, and the
-    /// int8 twins of both (quantized rows at ~29.5% of f32).
+    /// Index memory per backend: f32 rows, and HNSW rows + graph.
     memory: MemoryPoint,
     points: Vec<EfPoint>,
 }
@@ -61,7 +59,6 @@ struct SizePoint {
 /// Resident index bytes per backend at one size.
 struct MemoryPoint {
     f32_rows: usize,
-    int8_rows: usize,
     graph: usize,
 }
 
@@ -140,8 +137,7 @@ pub fn ann(ctx: &Ctx) -> String {
             exact_qps,
             build_secs,
             memory: MemoryPoint {
-                f32_rows: rows * DIM * std::mem::size_of::<f32>(),
-                int8_rows: QuantizedMatrix::from_normalized(&matrix).bytes(),
+                f32_rows: index.row_bytes(),
                 graph: index.graph_bytes(),
             },
             points,
@@ -225,19 +221,6 @@ fn write_bench(ctx: &Ctx, path: &std::path::Path, sizes: &[SizePoint], gate: f64
                                 .with("total_bytes", m.f32_rows + m.graph)
                                 .with("bytes_per_row", per_row(m.f32_rows + m.graph))
                                 .with("graph_bytes", m.graph),
-                        )
-                        .with(
-                            "exact_int8",
-                            Json::obj()
-                                .with("total_bytes", m.int8_rows)
-                                .with("bytes_per_row", per_row(m.int8_rows)),
-                        )
-                        .with(
-                            "hnsw_int8",
-                            Json::obj()
-                                .with("total_bytes", m.int8_rows + m.graph)
-                                .with("bytes_per_row", per_row(m.int8_rows + m.graph))
-                                .with("graph_bytes", m.graph),
                         ),
                 )
         })
@@ -245,6 +228,7 @@ fn write_bench(ctx: &Ctx, path: &std::path::Path, sizes: &[SizePoint], gate: f64
     let json = Json::obj()
         .with("metric", "ann_knn_queries_per_sec")
         .with("smoke", ctx.smoke)
+        .with("host", super::host_json())
         .with("k", K)
         .with("dim", DIM)
         .with("gate_recall", gate)
@@ -319,7 +303,7 @@ mod tests {
         assert!(raw.contains("\"smoke\": true"));
         assert!(raw.contains("\"recall_at_10\""));
         assert!(raw.contains("\"bytes_per_row\""), "{raw}");
-        assert!(raw.contains("\"exact_int8\""), "{raw}");
+        assert!(raw.contains("\"simd\""), "{raw}");
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
     }
 

@@ -22,6 +22,18 @@ pub mod transfer;
 pub mod tuning;
 
 use crate::Ctx;
+use darkvec_obs::Json;
+
+/// The host a benchmark number was measured on: its core count and the
+/// SIMD path the kernels dispatched to. Every `BENCH_*.json` writer that
+/// times neighbour search records it, so numbers from different hosts
+/// are never compared blind.
+pub(crate) fn host_json() -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    Json::obj()
+        .with("cores", cores)
+        .with("simd", darkvec_kernels::active_path().name())
+}
 
 /// All experiment ids, in the paper's presentation order.
 pub const ALL: &[&str] = &[

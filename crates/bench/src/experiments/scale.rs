@@ -1,40 +1,32 @@
-//! Paper-scale pipeline benchmark: parallel corpus build, int8
-//! quantization, and the chunked on-disk store at 10⁶ senders.
+//! Paper-scale benchmark: the parallel corpus build, and exact against
+//! HNSW neighbour search at 10⁶ senders.
 //!
-//! Three measurements, each gated:
+//! Two measurements, each gated:
 //!
 //! 1. **Corpus shard build** — the sliding-window pipeline's day-shard
 //!    construction, serial vs 8 worker threads on the simulated capture.
 //!    The merged corpora must be bit-identical (`parallel_equal`); the
 //!    ≥ 2× speedup gate applies only on hosts with at least 8 cores.
-//! 2. **Quantized kNN at scale** — a campaign-structured embedding
-//!    matrix (1M rows in a full run) queried three ways: the exact f32
-//!    tiled scan (ground truth), the int8 exhaustive scan, and the int8
-//!    HNSW index swept over query beam widths (at 10⁶ near-duplicate
-//!    cluster members the default beam cannot separate the top-10 from
-//!    thousands of near-ties; the sweep finds the cheapest `ef` that
-//!    can). Both quantized backends must hold recall@10 ≥ 0.95 against
-//!    exact-f32, and the quantized row store must fit in ≤ 30% of the
-//!    f32 footprint.
-//! 3. **Chunked store round-trip** — the matrix is written in DKVS
-//!    format and re-read chunk-at-a-time straight into a
-//!    [`QuantizedMatrix`]; the streamed result must equal direct
-//!    quantization.
+//! 2. **kNN at scale** — a campaign-structured embedding matrix (1M rows
+//!    in a full run) queried two ways over the same f32 rows: the exact
+//!    tiled scan (ground truth) and the HNSW index swept over query beam
+//!    widths (at 10⁶ near-duplicate cluster members the default beam
+//!    cannot separate the top-10 from thousands of near-ties; the sweep
+//!    finds the cheapest `ef` that can). HNSW must reach recall@10 ≥ 0.95
+//!    against the exact lists at some swept `ef`.
 //!
 //! Writes `BENCH_scale.json` (repo root in a full run, the artifact
-//! directory in smoke mode) and *asserts* every gate — CI runs this in
-//! smoke mode and goes red if quantization or the parallel build
-//! regresses.
+//! directory in smoke mode), stamped with the host's core count and SIMD
+//! path, and *asserts* every gate — CI runs this in smoke mode and goes
+//! red if the HNSW recall or the parallel build regresses.
 
 use crate::experiments::ann::campaign_matrix;
 use crate::table::TextTable;
 use crate::Ctx;
 use darkvec::pipeline::resolve_services;
 use darkvec::shard::{build_shards, merge_shards};
-use darkvec::store::{write_store, StoreReader, DEFAULT_ROWS_PER_CHUNK};
-use darkvec_ml::ann::{recall_at_k, HnswConfig, HnswIndex, NeighborIndex, QuantizedExactIndex};
+use darkvec_ml::ann::{recall_at_k, HnswConfig, HnswIndex};
 use darkvec_ml::knn::knn_batch;
-use darkvec_ml::QuantizedMatrix;
 use darkvec_obs::Json;
 use std::time::Instant;
 
@@ -48,16 +40,13 @@ const DIM: usize = 50;
 /// point; the build itself accepts any count).
 const SHARD_THREADS: usize = 8;
 
-/// Recall@10 floor for both quantized backends.
+/// Recall@10 floor for the HNSW backend.
 const RECALL_GATE: f64 = 0.95;
-
-/// Quantized-rows / f32-rows memory ceiling.
-const MEMORY_GATE: f64 = 0.30;
 
 /// Query beam widths swept for the HNSW backend in a full run. The
 /// campaign matrix puts thousands of near-identical rows in each
 /// cluster at 10⁶ senders, so the graph needs a wide beam before its
-/// quantized candidate set covers the true top-10.
+/// candidate set covers the true top-10.
 const EF_SWEEP_FULL: &[usize] = &[96, 256, 1024, 4096];
 
 /// Beam widths in smoke mode (2 000 rows saturate immediately).
@@ -66,7 +55,7 @@ const EF_SWEEP_SMOKE: &[usize] = &[96, 256];
 /// One backend's measurement on the scale matrix.
 struct BackendPoint {
     name: &'static str,
-    /// Query beam width, for the HNSW backend (`None` for scans).
+    /// Query beam width, for the HNSW backend (`None` for the scan).
     ef: Option<usize>,
     build_secs: f64,
     query_secs: f64,
@@ -83,14 +72,14 @@ struct EfPoint {
     recall: f64,
 }
 
-/// Runs all three measurements and writes `BENCH_scale.json`.
+/// Runs both measurements and writes `BENCH_scale.json`.
 pub fn scale(ctx: &Ctx) -> String {
     let rows: usize = if ctx.smoke { 2000 } else { 1_000_000 };
     let nq: usize = if ctx.smoke { 200 } else { 1000 };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let mut out = format!(
-        "Scale benchmark: parallel corpus build + int8 kNN + chunked store \
+        "Scale benchmark: parallel corpus build + exact vs HNSW kNN \
          (rows = {rows}, dim = {DIM}, k = {K}, {nq} sampled queries, {cores} cores)\n\n"
     );
 
@@ -141,7 +130,7 @@ pub fn scale(ctx: &Ctx) -> String {
     out.push_str("corpus shard build (simulated capture):\n");
     out.push_str(&shard_t.render());
 
-    // ---- 2. Quantized kNN at scale --------------------------------------
+    // ---- 2. kNN at scale: exact vs HNSW ----------------------------------
     let matrix = campaign_matrix(ctx, rows);
     let stride = (rows / nq).max(1);
     let qidx: Vec<usize> = (0..rows).step_by(stride).take(nq).collect();
@@ -156,23 +145,13 @@ pub fn scale(ctx: &Ctx) -> String {
     let exact_secs = start.elapsed().as_secs_f64().max(1e-9);
 
     let start = Instant::now();
-    let scan_index =
-        QuantizedExactIndex::with_refine(QuantizedMatrix::from_normalized(&matrix), &matrix);
-    let quant_build_secs = start.elapsed().as_secs_f64();
-    let quant = scan_index.matrix();
-    let mem_ratio = quant.bytes() as f64 / quant.f32_bytes() as f64;
-
-    let start = Instant::now();
-    let scan = scan_index.knn_batch(&queries, K, 0);
-    let scan_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-    let start = Instant::now();
-    let index = HnswIndex::build_quantized(&matrix, &HnswConfig::default(), 0);
+    let index = HnswIndex::build(&matrix, &HnswConfig::default(), 0);
     let hnsw_build_secs = start.elapsed().as_secs_f64();
+    let hnsw_bytes = index.row_bytes() + index.graph_bytes();
 
-    // Beam-width sweep: recall converges monotonically toward the
-    // exhaustive scan's as ef grows; the operating point is the
-    // cheapest rung that clears the gate (or the best rung, if none).
+    // Beam-width sweep: recall converges toward the exact scan's as ef
+    // grows; the operating point is the cheapest rung that clears the
+    // gate (or the best rung, if none).
     let ef_sweep = if ctx.smoke {
         EF_SWEEP_SMOKE
     } else {
@@ -204,28 +183,20 @@ pub fn scale(ctx: &Ctx) -> String {
             query_secs: exact_secs,
             qps: nq as f64 / exact_secs,
             recall: 1.0,
-            index_bytes: quant.f32_bytes(),
+            index_bytes: index.row_bytes(),
         },
         BackendPoint {
-            name: "exact-int8",
-            ef: None,
-            build_secs: quant_build_secs,
-            query_secs: scan_secs,
-            qps: nq as f64 / scan_secs,
-            recall: recall_at_k(&exact, &scan, K),
-            index_bytes: quant.bytes(),
-        },
-        BackendPoint {
-            name: "hnsw-int8",
+            name: "hnsw-f32",
             ef: Some(chosen.ef),
             build_secs: hnsw_build_secs,
             query_secs: chosen.secs,
             qps: chosen.qps,
             recall: chosen.recall,
-            index_bytes: index.row_bytes() + index.graph_bytes(),
+            index_bytes: hnsw_bytes,
         },
     ];
 
+    let mib = |bytes: usize| format!("{:.1}", bytes as f64 / (1024.0 * 1024.0));
     let mut knn_t = TextTable::new(vec![
         "backend",
         "ef",
@@ -234,77 +205,36 @@ pub fn scale(ctx: &Ctx) -> String {
         "recall@10",
         "index MiB",
     ]);
-    for p in &points[..2] {
-        knn_t.row(vec![
-            p.name.to_string(),
-            "-".to_string(),
-            if p.build_secs == 0.0 {
-                "-".to_string()
-            } else {
-                format!("{:.2}s", p.build_secs)
-            },
-            format!("{:.0}", p.qps),
-            format!("{:.3}", p.recall),
-            format!("{:.1}", p.index_bytes as f64 / (1024.0 * 1024.0)),
-        ]);
-    }
+    let exact_point = &points[0];
+    knn_t.row(vec![
+        exact_point.name.to_string(),
+        "-".to_string(),
+        "-".to_string(),
+        format!("{:.0}", exact_point.qps),
+        format!("{:.3}", exact_point.recall),
+        mib(exact_point.index_bytes),
+    ]);
     for s in &sweep {
         knn_t.row(vec![
-            "hnsw-int8".to_string(),
+            points[1].name.to_string(),
             format!("{}{}", s.ef, if s.ef == chosen.ef { " *" } else { "" }),
             format!("{hnsw_build_secs:.2}s"),
             format!("{:.0}", s.qps),
             format!("{:.3}", s.recall),
-            format!(
-                "{:.1}",
-                (index.row_bytes() + index.graph_bytes()) as f64 / (1024.0 * 1024.0)
-            ),
+            mib(hnsw_bytes),
         ]);
     }
     out.push_str(&format!(
         "\nkNN over {rows} campaign-structured rows (* = chosen hnsw operating point):\n"
     ));
     out.push_str(&knn_t.render());
-    out.push_str(&format!(
-        "\nquantized rows: {} B vs {} B f32 ({:.1}% of f32)\n",
-        quant.bytes(),
-        quant.f32_bytes(),
-        100.0 * mem_ratio
-    ));
-
-    // ---- 3. Chunked store round-trip ------------------------------------
-    let store_path = ctx.out_dir.join("scale_embeddings.dkvs");
-    let start = Instant::now();
-    if let Err(e) = write_store(
-        &store_path,
-        matrix.data(),
-        DIM,
-        b"xp-scale",
-        DEFAULT_ROWS_PER_CHUNK,
-    ) {
-        panic!("could not write {}: {e}", store_path.display());
-    }
-    let write_secs = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let loaded = StoreReader::open(&store_path)
-        .and_then(StoreReader::read_quantized)
-        .unwrap_or_else(|e| panic!("could not re-read {}: {e}", store_path.display()));
-    let read_secs = start.elapsed().as_secs_f64();
-    let store_ok = loaded == *quant;
-    let _ = std::fs::remove_file(&store_path);
-    out.push_str(&format!(
-        "chunked store: wrote {rows} rows in {write_secs:.2}s, streamed back quantized \
-         in {read_secs:.2}s, round-trip {}\n",
-        if store_ok { "identical" } else { "DIVERGED" }
-    ));
 
     // ---- Gates -----------------------------------------------------------
     // The speedup gate needs the hardware to exist: on hosts with fewer
     // than SHARD_THREADS cores only bit-identity is enforced.
-    let gate_recall_ok = points[1].recall >= RECALL_GATE && points[2].recall >= RECALL_GATE;
-    let gate_memory_ok = mem_ratio <= MEMORY_GATE;
+    let gate_recall_ok = points[1].recall >= RECALL_GATE;
     let gate_speedup_ok = cores < SHARD_THREADS || speedup >= 2.0;
-    let gate_ok = gate_recall_ok && gate_memory_ok && gate_speedup_ok && parallel_equal && store_ok;
+    let gate_ok = gate_recall_ok && gate_speedup_ok && parallel_equal;
 
     let dir = if ctx.smoke {
         ctx.out_dir.clone()
@@ -318,7 +248,6 @@ pub fn scale(ctx: &Ctx) -> String {
         rows,
         &ShardStats {
             days,
-            cores,
             serial_secs,
             parallel_secs,
             speedup,
@@ -326,22 +255,13 @@ pub fn scale(ctx: &Ctx) -> String {
         },
         &points,
         &sweep,
-        mem_ratio,
-        write_secs,
-        read_secs,
-        store_ok,
         gate_recall_ok,
         gate_ok,
     );
 
     out.push_str(&format!(
-        "\nrecall gate: quantized recall@10 >= {RECALL_GATE}: {}\n",
+        "\nrecall gate: hnsw recall@10 >= {RECALL_GATE}: {}\n",
         pass(gate_recall_ok)
-    ));
-    out.push_str(&format!(
-        "memory gate: int8 rows <= {:.0}% of f32: {}\n",
-        100.0 * MEMORY_GATE,
-        pass(gate_memory_ok)
     ));
     out.push_str(&format!(
         "shard gate: parallel build identical{}: {}\n",
@@ -352,18 +272,12 @@ pub fn scale(ctx: &Ctx) -> String {
         },
         pass(parallel_equal && gate_speedup_ok)
     ));
-    out.push_str(&format!(
-        "store gate: round-trip identical: {}\n",
-        pass(store_ok)
-    ));
     out.push_str(&format!("wrote {}\n", path.display()));
     assert!(
         gate_ok,
-        "scale gates failed (recall {} / memory {} / shard {} / store {}), see {}",
+        "scale gates failed (recall {} / shard {}), see {}",
         pass(gate_recall_ok),
-        pass(gate_memory_ok),
         pass(parallel_equal && gate_speedup_ok),
-        pass(store_ok),
         path.display()
     );
     out
@@ -380,7 +294,6 @@ fn pass(ok: bool) -> &'static str {
 /// Shard-build measurements bundled for the JSON writer.
 struct ShardStats {
     days: u64,
-    cores: usize,
     serial_secs: f64,
     parallel_secs: f64,
     speedup: f64,
@@ -396,10 +309,6 @@ fn write_bench(
     shard: &ShardStats,
     points: &[BackendPoint],
     sweep: &[EfPoint],
-    mem_ratio: f64,
-    write_secs: f64,
-    read_secs: f64,
-    store_ok: bool,
     gate_recall_ok: bool,
     gate_ok: bool,
 ) {
@@ -431,8 +340,9 @@ fn write_bench(
         })
         .collect();
     let json = Json::obj()
-        .with("metric", "scale_quantized_knn")
+        .with("metric", "scale_knn")
         .with("smoke", ctx.smoke)
+        .with("host", super::host_json())
         .with("rows", rows)
         .with("dim", DIM)
         .with("k", K)
@@ -440,26 +350,15 @@ fn write_bench(
             "shard_build",
             Json::obj()
                 .with("days", shard.days)
-                .with("cores", shard.cores)
                 .with("threads", SHARD_THREADS)
                 .with("serial_secs", shard.serial_secs)
                 .with("parallel_secs", shard.parallel_secs)
                 .with("speedup", shard.speedup),
         )
         .with("parallel_equal", shard.parallel_equal)
-        .with("memory_ratio_int8_vs_f32", mem_ratio)
         .with("backends", Json::Arr(backends))
         .with("hnsw_ef_sweep", Json::Arr(ef_entries))
-        .with(
-            "store",
-            Json::obj()
-                .with("rows_per_chunk", DEFAULT_ROWS_PER_CHUNK)
-                .with("write_secs", write_secs)
-                .with("read_quantized_secs", read_secs)
-                .with("roundtrip_ok", store_ok),
-        )
         .with("gate_recall", RECALL_GATE)
-        .with("gate_memory_ratio", MEMORY_GATE)
         .with("gate_recall_ok", gate_recall_ok)
         .with("gate_ok", gate_ok);
     if let Some(dir) = path.parent() {
@@ -484,6 +383,8 @@ mod tests {
         let raw = std::fs::read_to_string(ctx.out_dir.join("BENCH_scale.json")).unwrap();
         assert!(raw.contains("\"gate_recall_ok\": true"), "{raw}");
         assert!(raw.contains("\"parallel_equal\": true"), "{raw}");
+        assert!(raw.contains("\"hnsw-f32\""), "{raw}");
+        assert!(raw.contains("\"simd\""), "{raw}");
         assert!(raw.contains("\"smoke\": true"));
         let _ = std::fs::remove_dir_all(&ctx.out_dir);
     }

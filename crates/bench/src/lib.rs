@@ -2,7 +2,8 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of
 //! the DarkVec paper's evaluation (see DESIGN.md §3 for the index), plus
-//! Criterion micro-benchmarks over all hot paths.
+//! the benchmarks that commit the `BENCH_*.json` files (`xp perf`,
+//! `xp ann`, `xp scale`, `xp serve`, …).
 //!
 //! Run an experiment with:
 //!

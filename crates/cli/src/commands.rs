@@ -10,7 +10,7 @@ use darkvec::pipeline::{self, TrainedModel};
 use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
 use darkvec::{Client, Daemon, ServeConfig};
 use darkvec_gen::{pump, simulate as run_sim, PacketStream, SimConfig};
-use darkvec_ml::ann::{NeighborBackend, Precision};
+use darkvec_ml::ann::NeighborBackend;
 use darkvec_obs::diff::{diff_manifests, DiffOptions};
 use darkvec_obs::trace::chrome_trace;
 use darkvec_obs::{info, manifest, metrics, Json};
@@ -227,7 +227,7 @@ pub fn similar(opts: &Options) -> Result<(), String> {
 }
 
 /// `darkvec cluster --trace in.bin --model model.dkve [--k 3] [--min-size 4]
-/// [--ann | --exact] [--precision f32|int8]`
+/// [--ann | --exact]`
 pub fn cluster(opts: &Options) -> Result<(), String> {
     let trace = load_trace(opts.require("trace")?)?;
     let model_path = opts.require("model")?;
@@ -242,8 +242,7 @@ pub fn cluster(opts: &Options) -> Result<(), String> {
         NeighborBackend::ann()
     } else {
         NeighborBackend::Exact
-    }
-    .with_precision(opts.get_or("precision", Precision::F32)?);
+    };
     let cfg = ClusterConfig {
         k: opts.get_or("k", 3usize)?,
         seed: opts.get_or("seed", 1u64)?,
@@ -561,8 +560,8 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
 
 /// `darkvec serve [--trace in.bin | --days N --scale S --seed N]
 /// [--listen 127.0.0.1:0] [--window-days 7] [--stride 1] [--warm-epochs 2]
-/// [--k 7] [--cache DIR] [--ann | --exact] [--precision f32|int8]
-/// [--shard-threads N] [--batch N] [--linger]`
+/// [--k 7] [--cache DIR] [--ann | --exact] [--shard-threads N] [--batch N]
+/// [--linger]`
 ///
 /// Starts the streaming daemon, feeds it the capture (a file with
 /// `--trace`, otherwise a fresh simulation), and serves classify queries
@@ -594,8 +593,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         NeighborBackend::ann()
     } else {
         NeighborBackend::Exact
-    }
-    .with_precision(opts.get_or("precision", Precision::F32)?);
+    };
     serve_cfg.cache_dir = opts.get("cache").map(Into::into);
     serve_cfg.listen = opts.get("listen").unwrap_or("127.0.0.1:0").to_string();
     serve_cfg.threads = opts.get_or("threads", 0usize)?;
@@ -952,21 +950,6 @@ mod tests {
             ("k", "3"),
         ]))
         .unwrap();
-        // The precision knob parses and clusters on quantized rows.
-        cluster(&opts(&[
-            ("trace", &trace_path),
-            ("model", &model_path),
-            ("k", "3"),
-            ("precision", "int8"),
-        ]))
-        .unwrap();
-        let err = cluster(&opts(&[
-            ("trace", &trace_path),
-            ("model", &model_path),
-            ("precision", "fp64"),
-        ]))
-        .unwrap_err();
-        assert!(err.contains("precision"), "{err}");
         stats(&opts(&[("trace", &trace_path)])).unwrap();
     }
 

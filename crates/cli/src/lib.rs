@@ -11,12 +11,12 @@
 //! darkvec serve     [--trace trace.bin | --days N --scale S --seed N]
 //!                   [--listen 127.0.0.1:0] [--window-days 7] [--stride 1]
 //!                   [--warm-epochs 2] [--k 7] [--cache DIR] [--ann | --exact]
-//!                   [--precision f32|int8] [--shard-threads N]
+//!                   [--shard-threads N]
 //! darkvec query     --addr HOST:PORT [--ip A.B.C.D [--ports 23/tcp,2323/tcp] [--k N]]
 //!                   [--status] [--alerts] [--ping] [--shutdown]
 //! darkvec similar   --model model.dkvm --ip 1.2.3.4 [--top 10]
 //! darkvec cluster   --trace trace.bin --model model.dkvm [--k 3] [--min-size 4]
-//!                   [--ann | --exact] [--precision f32|int8]
+//!                   [--ann | --exact]
 //! darkvec stats     --trace trace.bin
 //! darkvec export    --trace trace.bin --out trace.csv
 //! darkvec obs diff  a.json b.json [--gate PCT] [--counters-only] [--force]
@@ -45,11 +45,9 @@
 //! Neighbour-search flags (`cluster`, `serve`): `--ann` switches the kNN
 //! pass to the approximate HNSW index (fast on large traces, ≥0.95
 //! recall@10 in benchmarks); `--exact` forces the default brute-force
-//! scan. `--precision int8` scans int8 scalar-quantized rows (~29.5% of
-//! the f32 row memory) with an exact f32 re-rank of the oversampled
-//! candidates; `--precision f32` is the default. `--shard-threads N`
-//! (`incremental`, `serve`) builds per-day corpus shards on N worker
-//! threads (0 = all cores) — results are bit-identical to serial.
+//! scan. `--shard-threads N` (`incremental`, `serve`) builds per-day
+//! corpus shards on N worker threads (0 = all cores) — results are
+//! bit-identical to serial.
 //!
 //! All of the command logic lives in this library crate so integration
 //! tests can drive a command in-process and assert on its exit status;
@@ -237,8 +235,6 @@ fn usage() -> &'static str {
        --no-simd          force scalar compute kernels (also DARKVEC_NO_SIMD=1)\n\
        --ann / --exact    approximate (HNSW) vs. exact neighbour search\n\
                           where kNN is involved (default exact)\n\
-       --precision P      neighbour-search row precision: f32 (default) or\n\
-                          int8 (quantized scan + exact f32 re-rank)\n\
        --shard-threads N  parallel day-shard corpus build for incremental\n\
                           and serve (0/absent = all cores, bit-identical)\n\
        --threads N        worker threads (0/absent = all cores)\n\

@@ -45,7 +45,6 @@ pub mod protocol;
 pub mod serve;
 pub mod services;
 pub mod shard;
-pub mod store;
 pub mod supervised;
 pub mod temporal;
 pub mod unsupervised;

@@ -13,10 +13,7 @@
 //!
 //! plus [`normalize_rows`] (L2 row normalisation, itself `dot` + `scale`)
 //! and [`NormalizedMatrix`], the normalise-once matrix the cosine-space
-//! consumers share instead of each normalising a private copy. The int8
-//! embedding store adds one integer primitive, [`dot_i8`]
-//! (`i8×i8→i32`), which — being all-integer — is bit-exact across every
-//! path.
+//! consumers share instead of each normalising a private copy.
 //!
 //! ## Dispatch
 //!
@@ -274,36 +271,6 @@ fn dot_each_row(q: &[f32], rows: &[f32], out: &mut [f32], dot: impl Fn(&[f32], &
     }
 }
 
-/// Quantized inner product `Σ a[i]·b[i]` over `i8` codes, accumulated in
-/// `i32`.
-///
-/// The workhorse of the int8 embedding store: per-row scalar-quantized
-/// embedding rows compare via this kernel plus a per-row dequantization
-/// factor. All-integer arithmetic is associative, so unlike the f32
-/// kernels **every path returns the same bits** — the parity suite
-/// asserts exact equality across paths. The accumulator cannot overflow
-/// for any realistic length (`n · 127² < i32::MAX` up to n ≈ 133k).
-///
-/// # Panics
-/// Panics (debug) if the lengths differ.
-#[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_on(active_path(), a, b)
-}
-
-/// [`dot_i8`] on an explicit path (parity tests and benchmarks).
-#[inline]
-pub fn dot_i8_on(path: Path, a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_i8 length mismatch");
-    on_path!(
-        path,
-        scalar::dot_i8(a, b),
-        portable::dot_i8(a, b),
-        x86::dot_i8(a, b),
-        neon::dot_i8(a, b)
-    )
-}
-
 /// `y += alpha · x`.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -451,16 +418,6 @@ mod tests {
                 "{}: {got} vs {want}",
                 p.name()
             );
-        }
-    }
-
-    #[test]
-    fn dot_i8_is_bit_exact_on_every_path() {
-        let a: Vec<i8> = (0..257).map(|i| ((i * 41 + 7) % 255) as i8).collect();
-        let b: Vec<i8> = (0..257).map(|i| ((i * 113 + 3) % 255) as i8).collect();
-        let want = scalar::dot_i8(&a, &b);
-        for p in available_paths() {
-            assert_eq!(dot_i8_on(p, &a, &b), want, "{}", p.name());
         }
     }
 

@@ -41,42 +41,6 @@ pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Quantized inner product: widening `i8×i8→i16` multiplies
-/// (`vmull_s8`), pairwise-accumulated into `i32` lanes (`vpadalq_s16`).
-/// All-integer arithmetic, so the result is bit-identical to the scalar
-/// reference.
-///
-/// # Safety
-/// Caller must ensure NEON support and `b.len() >= a.len()` — both
-/// pointers are read at offsets `0..a.len()`. Unaligned-tolerant loads;
-/// read-only.
-#[target_feature(enable = "neon")]
-pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc0 = vdupq_n_s32(0);
-    let mut acc1 = vdupq_n_s32(0);
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let va = vld1q_s8(pa.add(i));
-        let vb = vld1q_s8(pb.add(i));
-        acc0 = vpadalq_s16(acc0, vmull_s8(vget_low_s8(va), vget_low_s8(vb)));
-        acc1 = vpadalq_s16(acc1, vmull_s8(vget_high_s8(va), vget_high_s8(vb)));
-        i += 16;
-    }
-    if i + 8 <= n {
-        acc0 = vpadalq_s16(acc0, vmull_s8(vld1_s8(pa.add(i)), vld1_s8(pb.add(i))));
-        i += 8;
-    }
-    let mut sum = vaddvq_s32(vaddq_s32(acc0, acc1));
-    while i < n {
-        sum += i32::from(*pa.add(i)) * i32::from(*pb.add(i));
-        i += 1;
-    }
-    sum
-}
-
 /// `y += alpha · x`.
 ///
 /// # Safety

@@ -29,27 +29,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     reduce8(&lanes) + tail
 }
 
-/// 8-accumulator quantized inner product. Integer sums are associative,
-/// so this is bit-identical to [`crate::scalar::dot_i8`] by construction;
-/// the unroll only exists to break the add dependency chain.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    let mut lanes = [0i32; 8];
-    let mut ca = a.chunks_exact(8);
-    let mut cb = b.chunks_exact(8);
-    for (xa, xb) in (&mut ca).zip(&mut cb) {
-        for ((l, &x), &y) in lanes.iter_mut().zip(xa).zip(xb) {
-            *l += i32::from(x) * i32::from(y);
-        }
-    }
-    let tail: i32 = ca
-        .remainder()
-        .iter()
-        .zip(cb.remainder())
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum();
-    lanes.iter().sum::<i32>() + tail
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,15 +44,6 @@ mod tests {
                 (got - want).abs() <= want.abs().max(1.0) * 1e-6,
                 "len {len}: {got} vs {want}"
             );
-        }
-    }
-
-    #[test]
-    fn dot_i8_matches_scalar_exactly_for_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 31, 50, 63, 257] {
-            let a: Vec<i8> = (0..len).map(|i| ((i * 37) % 255) as i8).collect();
-            let b: Vec<i8> = (0..len).map(|i| ((i * 89 + 13) % 255) as i8).collect();
-            assert_eq!(dot_i8(&a, &b), crate::scalar::dot_i8(&a, &b), "len {len}");
         }
     }
 }

@@ -28,18 +28,6 @@ pub fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
     }
 }
 
-/// Quantized inner product `Σ a[i]·b[i]` in widening i32 arithmetic.
-///
-/// Integer addition is associative, so unlike the f32 kernels every path
-/// must reproduce this result *bit-exactly* — the parity suite asserts
-/// equality, not a tolerance.
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| i32::from(x) * i32::from(y))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,17 +36,6 @@ mod tests {
     fn dot_identities() {
         assert_eq!(dot(&[], &[]), 0.0);
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-    }
-
-    #[test]
-    fn dot_i8_identities() {
-        assert_eq!(dot_i8(&[], &[]), 0);
-        assert_eq!(dot_i8(&[1, 2, 3], &[4, 5, 6]), 32);
-        // Worst case accumulates without overflow: 127·127 per element.
-        let a = [127i8; 1024];
-        let b = [127i8; 1024];
-        assert_eq!(dot_i8(&a, &b), 1024 * 127 * 127);
-        assert_eq!(dot_i8(&[-128, -128], &[-128, 127]), 16384 - 16256);
     }
 
     #[test]

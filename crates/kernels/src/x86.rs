@@ -166,61 +166,6 @@ pub unsafe fn dot_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Lane sum of 8 packed i32s. Integer adds are associative, so the
-/// shuffle order is irrelevant for the result — unlike [`hsum256`].
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2+FMA. Pure register math —
-/// no memory access.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn hsum256_epi32(v: __m256i) -> i32 {
-    let q = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-    let s = _mm_add_epi32(q, _mm_unpackhi_epi64(q, q));
-    _mm_cvtsi128_si32(_mm_add_epi32(s, _mm_shuffle_epi32(s, 0b01)))
-}
-
-/// Quantized inner product: sign-extend 16 `i8`s to `i16`, multiply-add
-/// adjacent pairs into `i32` (`pmaddwd`), accumulate in 8 `i32` lanes.
-/// `i16·i16` products fit `i32` even at the ±127 saturation boundary, so
-/// the result is exact and bit-identical to the scalar reference.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2+FMA and that
-/// `b.len() >= a.len()` — both pointers are read at offsets
-/// `0..a.len()`. Loads are `loadu` (unaligned-tolerant); `&[i8]` has no
-/// extra alignment to violate. Read-only.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr();
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    let mut i = 0usize;
-    while i + 32 <= n {
-        let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(i).cast()));
-        let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(i).cast()));
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a0, b0));
-        let a1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(i + 16).cast()));
-        let b1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(i + 16).cast()));
-        acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(a1, b1));
-        i += 32;
-    }
-    if i + 16 <= n {
-        let a0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pa.add(i).cast()));
-        let b0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(pb.add(i).cast()));
-        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(a0, b0));
-        i += 16;
-    }
-    let mut sum = hsum256_epi32(_mm256_add_epi32(acc0, acc1));
-    while i < n {
-        sum += i32::from(*pa.add(i)) * i32::from(*pb.add(i));
-        i += 1;
-    }
-    sum
-}
-
 /// `y += alpha · x`.
 ///
 /// # Safety

@@ -4,8 +4,8 @@
 //! misaligned sub-slices (SIMD paths must not assume alignment).
 
 use darkvec_kernels::{
-    available_paths, axpy_on, dot_i8_on, dot_on, dot_rows_on, force_path, hogwild,
-    normalize_rows_on, scale_add_on, scale_on, squared_norm, Path,
+    available_paths, axpy_on, dot_on, dot_rows_on, force_path, hogwild, normalize_rows_on,
+    scale_add_on, scale_on, squared_norm, Path,
 };
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -38,11 +38,6 @@ impl Rng {
 
     fn vec(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.f32()).collect()
-    }
-
-    /// Uniform over the full `i8` range, saturation boundaries included.
-    fn vec_i8(&mut self, n: usize) -> Vec<i8> {
-        (0..n).map(|_| self.next_u64() as i8).collect()
     }
 }
 
@@ -156,51 +151,6 @@ fn dot_rows_special_values_match_dot() {
 #[should_panic(expected = "dot_rows shape mismatch")]
 fn dot_rows_rejects_ragged_rows() {
     dot_rows_on(Path::Scalar, &[1.0, 2.0], &[1.0, 2.0, 3.0], &mut [0.0; 2]);
-}
-
-/// The quantized dot is all-integer, so parity is *exact* equality — no
-/// tolerance — across every path, length tail, and misaligned sub-slice.
-#[test]
-fn dot_i8_matches_scalar_bit_exactly_on_every_path() {
-    let mut rng = Rng(88);
-    for &len in LENS {
-        for &off in OFFSETS {
-            let a = rng.vec_i8(len + off);
-            let b = rng.vec_i8(len + off);
-            let want = dot_i8_on(Path::Scalar, &a[off..], &b[off..]);
-            for path in non_scalar_paths() {
-                let got = dot_i8_on(path, &a[off..], &b[off..]);
-                assert_eq!(got, want, "dot_i8 len={len} off={off} {path:?}");
-            }
-        }
-    }
-}
-
-/// Saturation boundaries: every combination of the extreme codes
-/// (±127, and -128 which quantization never emits but the kernel must
-/// still handle) accumulated over SIMD-width runs.
-#[test]
-fn dot_i8_saturation_boundaries() {
-    for &len in LENS {
-        for (va, vb) in [
-            (127i8, 127i8),
-            (127, -127),
-            (-127, -127),
-            (-128, 127),
-            (-128, -128),
-        ] {
-            let a = vec![va; len];
-            let b = vec![vb; len];
-            let want = len as i32 * i32::from(va) * i32::from(vb);
-            for path in available_paths() {
-                assert_eq!(
-                    dot_i8_on(path, &a, &b),
-                    want,
-                    "saturation {va}×{vb} len={len} {path:?}"
-                );
-            }
-        }
-    }
 }
 
 #[test]

@@ -17,7 +17,7 @@
 //! | DV003 | `float-total-cmp` | workspace |
 //! | DV004 | `hash-iteration` | determinism-critical modules |
 //! | DV005 | `relaxed-ordering` | workspace (non-test) |
-//! | DV006 | `truncating-cast` | wire/quant/store modules |
+//! | DV006 | `truncating-cast` | wire-protocol modules |
 //! | DV007 | `annotation-reason` | anywhere an annotation appears |
 //! | DV008 | `stale-allowlist` | the allowlist file |
 //!
@@ -79,8 +79,8 @@ pub struct LintConfig {
     /// DV004: modules whose outputs must be bit-deterministic (cache
     /// keys, corpus/shard merge, wire replies, manifest serialization).
     pub determinism_modules: Vec<String>,
-    /// DV006: binary formats and quantization — a silently truncating
-    /// cast here corrupts data instead of crashing.
+    /// DV006: binary wire formats — a silently truncating cast here
+    /// corrupts data instead of crashing.
     pub cast_modules: Vec<String>,
 }
 
@@ -91,7 +91,6 @@ impl LintConfig {
             daemon_modules: vec![
                 "crates/darkvec/src/serve.rs".into(),
                 "crates/darkvec/src/protocol.rs".into(),
-                "crates/darkvec/src/store.rs".into(),
                 "crates/darkvec/src/cache.rs".into(),
                 "crates/obs/src/serve.rs".into(),
             ],
@@ -99,16 +98,11 @@ impl LintConfig {
                 "crates/darkvec/src/cache.rs".into(),
                 "crates/darkvec/src/corpus.rs".into(),
                 "crates/darkvec/src/shard.rs".into(),
-                "crates/darkvec/src/store.rs".into(),
                 "crates/darkvec/src/protocol.rs".into(),
                 "crates/darkvec/src/serve.rs".into(),
                 "crates/obs/src/manifest.rs".into(),
             ],
-            cast_modules: vec![
-                "crates/darkvec/src/protocol.rs".into(),
-                "crates/darkvec/src/store.rs".into(),
-                "crates/ml/src/quant.rs".into(),
-            ],
+            cast_modules: vec!["crates/darkvec/src/protocol.rs".into()],
         }
     }
 

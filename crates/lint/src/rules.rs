@@ -387,14 +387,14 @@ pub fn relaxed_ordering(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
 
 /// Narrow integer cast targets DV006 flags. `usize`/`u64`/`i64` are
 /// excluded (widening on every supported target), floats are excluded
-/// (not silently *wrapping*, and quantization legitimately rounds).
+/// (not silently *wrapping*, and float conversion legitimately rounds).
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
-/// DV006 — in wire-protocol, quantization and on-disk-format modules,
-/// every `as` cast to a narrow integer type must carry a
-/// `// lint: cast-ok(reason)` annotation stating why the value fits: a
-/// silently wrapping length or code corrupts bytes on the wire or disk
-/// instead of failing. `#[cfg(test)]` modules are exempt.
+/// DV006 — in wire-protocol modules, every `as` cast to a narrow
+/// integer type must carry a `// lint: cast-ok(reason)` annotation
+/// stating why the value fits: a silently wrapping length or code
+/// corrupts bytes on the wire instead of failing. `#[cfg(test)]` modules
+/// are exempt.
 pub fn truncating_cast(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     let t = &ctx.lexed.tokens;
     for i in 0..t.len() {
@@ -412,7 +412,7 @@ pub fn truncating_cast(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
             t[i].line,
             "DV006",
             format!(
-                "`as {}` in a wire/quant/store module without \
+                "`as {}` in a wire-protocol module without \
                  `// lint: cast-ok(reason)` — state the bound that makes the \
                  cast lossless (or check it and propagate an error)",
                 next.text

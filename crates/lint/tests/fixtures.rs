@@ -198,7 +198,7 @@ fn dv006_cast_ok_annotation_is_honoured() {
 #[test]
 fn dv006_widening_casts_are_clean() {
     let src = "fn f(v: &[u8]) -> u64 {\n    v.len() as u64\n}\n";
-    assert!(rules_hit("crates/ml/src/quant.rs", src).is_empty());
+    assert!(rules_hit("crates/darkvec/src/protocol.rs", src).is_empty());
 }
 
 #[test]
@@ -307,11 +307,11 @@ fn allowlist_comments_and_blank_lines_are_ignored() {
 fn diagnostics_carry_file_line_and_rule() {
     let cfg = LintConfig::repo_policy();
     let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
-    let diags = lint_source("crates/darkvec/src/store.rs", src, &cfg);
+    let diags = lint_source("crates/darkvec/src/cache.rs", src, &cfg);
     assert_eq!(diags.len(), 1);
     let rendered = diags[0].to_string();
     assert!(
-        rendered.starts_with("crates/darkvec/src/store.rs:2: DV002 "),
+        rendered.starts_with("crates/darkvec/src/cache.rs:2: DV002 "),
         "{rendered}"
     );
 }

@@ -3,11 +3,8 @@
 //! [`NeighborIndex`](crate::ann::NeighborIndex).
 //!
 //! Distances are dot products over a shared [`NormalizedMatrix`], so the
-//! index reuses the same SIMD kernels as the exact scan; built via
-//! [`HnswIndex::build_quantized`] they instead run over int8 scalar-
-//! quantized rows ([`QuantizedMatrix`]) through the integer SIMD kernel,
-//! cutting the row data the beam touches to ~¼. Two departures from a
-//! textbook HNSW make it reproducible and parallel:
+//! index reuses the same SIMD kernels as the exact scan. Two departures
+//! from a textbook HNSW make it reproducible and parallel:
 //!
 //! * **Seeded determinism** — each node's level is drawn from an RNG
 //!   seeded by `(cfg.seed, node index)`, so the layer structure is a pure
@@ -23,9 +20,8 @@
 //!   batch are invisible to the frozen search; a brute-force merge over
 //!   the (small) batch prefix restores those candidates.
 
-use crate::ann::{refine_fetch, rescore_with_f32, MatrixHandle};
+use crate::ann::MatrixHandle;
 use crate::knn::Neighbor;
-use crate::quant::{QuantizedMatrix, QuantizedQuery};
 use crate::vectors::{dot, normalize_rows};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -145,11 +141,6 @@ impl Scratch {
 /// safe to run from many threads.
 pub struct HnswIndex<'m> {
     normed: MatrixHandle<'m>,
-    /// Int8 twin of the matrix, present iff the index was built at
-    /// [`Precision::Int8`](crate::ann::Precision): every distance — build
-    /// and query alike — then runs over quantized rows, so the graph is
-    /// shaped by the same metric later searches use.
-    quant: Option<QuantizedMatrix>,
     cfg: HnswConfig,
     /// `links[level][node]` — out-neighbours, `2m` max at level 0, `m` above.
     links: Vec<Vec<Vec<u32>>>,
@@ -160,15 +151,12 @@ pub struct HnswIndex<'m> {
 }
 
 /// A query as the distance helper sees it: external queries carry their
-/// own vector (in the index's precision), indexed rows are referenced by
-/// number so row-row distances never pay a requantization error.
+/// own (normalised) vector, indexed rows are referenced by number.
 #[derive(Clone, Copy)]
 enum QueryRef<'q> {
-    /// External f32 query against an f32 index.
+    /// External query vector.
     F32(&'q [f32]),
-    /// External query, quantized once up front, against an int8 index.
-    Int8(&'q QuantizedQuery),
-    /// A row already in the index (either precision).
+    /// A row already in the index.
     Row(u32),
 }
 
@@ -178,29 +166,7 @@ impl<'m> HnswIndex<'m> {
     /// `threads = 0` uses one thread per available core. The result is
     /// identical for every `threads` value (see the module docs).
     pub fn build(normed: impl Into<MatrixHandle<'m>>, cfg: &HnswConfig, threads: usize) -> Self {
-        Self::build_impl(normed.into(), None, cfg, threads)
-    }
-
-    /// [`HnswIndex::build`] at int8 precision: rows are scalar-quantized
-    /// once and both construction and search distances run over the int8
-    /// codes (integer arithmetic, so still bit-deterministic across
-    /// thread counts and SIMD paths).
-    pub fn build_quantized(
-        normed: impl Into<MatrixHandle<'m>>,
-        cfg: &HnswConfig,
-        threads: usize,
-    ) -> Self {
         let normed = normed.into();
-        let quant = QuantizedMatrix::from_normalized(&normed);
-        Self::build_impl(normed, Some(quant), cfg, threads)
-    }
-
-    fn build_impl(
-        normed: MatrixHandle<'m>,
-        quant: Option<QuantizedMatrix>,
-        cfg: &HnswConfig,
-        threads: usize,
-    ) -> Self {
         assert!(cfg.m >= 2, "HNSW needs m >= 2");
         assert!(cfg.ef_construction >= 1, "ef_construction must be positive");
         let _span = darkvec_obs::span!("ml.ann.build");
@@ -210,7 +176,6 @@ impl<'m> HnswIndex<'m> {
         let max_level = levels.iter().copied().max().unwrap_or(0) as usize;
         let mut index = HnswIndex {
             normed,
-            quant,
             cfg: cfg.clone(),
             links: vec![vec![Vec::new(); n]; max_level + 1],
             levels,
@@ -279,18 +244,10 @@ impl<'m> HnswIndex<'m> {
         self.normed.rows()
     }
 
-    /// True when distances run over int8 quantized rows.
-    pub fn is_quantized(&self) -> bool {
-        self.quant.is_some()
-    }
-
     /// Bytes of row data the index's distance evaluations touch: the
-    /// quantized store at int8 precision, the f32 matrix otherwise.
+    /// f32 matrix it searches.
     pub fn row_bytes(&self) -> usize {
-        match &self.quant {
-            Some(qm) => qm.bytes(),
-            None => self.normed.rows() * self.normed.dim() * std::mem::size_of::<f32>(),
-        }
+        self.normed.rows() * self.normed.dim() * std::mem::size_of::<f32>()
     }
 
     /// Bytes of graph structure (adjacency lists + level assignments).
@@ -304,20 +261,14 @@ impl<'m> HnswIndex<'m> {
         adj + self.levels.len()
     }
 
-    /// Similarity between a query and an indexed row, in the index's
-    /// precision. Indexed-row queries ([`QueryRef::Row`]) use row-row
-    /// distances directly, so they never pay a requantization error.
+    /// Similarity between a query and an indexed row.
     #[inline]
     fn sim(&self, q: QueryRef<'_>, i: u32) -> f32 {
-        match (q, &self.quant) {
-            (QueryRef::F32(q), None) => dot(q, self.normed.row(i as usize)),
-            (QueryRef::Int8(q), Some(qm)) => qm.dot_query(q, i as usize),
-            (QueryRef::Row(r), None) => {
-                dot(self.normed.row(r as usize), self.normed.row(i as usize))
-            }
-            (QueryRef::Row(r), Some(qm)) => qm.dot_rows(r as usize, i as usize),
-            _ => unreachable!("query representation does not match index precision"),
-        }
+        let q = match q {
+            QueryRef::F32(q) => q,
+            QueryRef::Row(r) => self.normed.row(r as usize),
+        };
+        dot(q, self.normed.row(i as usize))
     }
 
     /// The `k` most similar *other* rows for every row, like
@@ -347,14 +298,8 @@ impl<'m> HnswIndex<'m> {
                 .unwrap_or(1)
         }
         .min(n);
-        // Int8 indexes oversample for the f32 refinement pass.
-        let fetch = if self.quant.is_some() {
-            refine_fetch(k, n)
-        } else {
-            k
-        };
-        // The beam must hold the query row itself plus `fetch` results.
-        let ef = ef.max(fetch + 1);
+        // The beam must hold the query row itself plus `k` results.
+        let ef = ef.max(k + 1);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
         let chunk = n.div_ceil(threads);
         let ctx = darkvec_obs::span::context();
@@ -369,20 +314,15 @@ impl<'m> HnswIndex<'m> {
                         let started = Instant::now();
                         let row = base + off;
                         let found = self.search_indexed(row as u32, ef, &mut scratch);
-                        let cand: Vec<Neighbor> = found
+                        *best = found
                             .into_iter()
                             .filter(|c| c.idx as usize != row)
-                            .take(fetch)
+                            .take(k)
                             .map(|c| Neighbor {
                                 index: c.idx as usize,
                                 similarity: c.sim,
                             })
                             .collect();
-                        *best = if self.quant.is_some() {
-                            rescore_with_f32(&self.normed, self.normed.row(row), cand, k)
-                        } else {
-                            cand
-                        };
                         query_latency.record_duration(started.elapsed());
                     }
                 });
@@ -403,10 +343,10 @@ impl<'m> HnswIndex<'m> {
     }
 
     /// [`Self::knn_batch`] with an explicit query beam width `ef`
-    /// (clamped up to the refinement fetch size). Wider beams buy
-    /// recall at query-time cost only — the graph is untouched — which
-    /// matters on heavily clustered matrices where the true top-`k`
-    /// hides among thousands of near-ties.
+    /// (clamped up to `k`). Wider beams buy recall at query-time cost
+    /// only — the graph is untouched — which matters on heavily
+    /// clustered matrices where the true top-`k` hides among thousands
+    /// of near-ties.
     ///
     /// # Panics
     /// Panics if `k == 0` or the flat query length is not a multiple of
@@ -437,13 +377,7 @@ impl<'m> HnswIndex<'m> {
         }
         .min(nq);
         let n = self.rows();
-        // Int8 indexes oversample for the f32 refinement pass.
-        let fetch = if self.quant.is_some() {
-            refine_fetch(k, n)
-        } else {
-            k
-        };
-        let ef = ef.max(fetch);
+        let ef = ef.max(k);
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
         let chunk = nq.div_ceil(threads);
         let ctx = darkvec_obs::span::context();
@@ -458,19 +392,14 @@ impl<'m> HnswIndex<'m> {
                         let started = Instant::now();
                         let qv = &q[off * dim..(off + 1) * dim];
                         let found = self.search(qv, ef, &mut scratch);
-                        let cand: Vec<Neighbor> = found
+                        *best = found
                             .into_iter()
-                            .take(fetch)
+                            .take(k)
                             .map(|c| Neighbor {
                                 index: c.idx as usize,
                                 similarity: c.sim,
                             })
                             .collect();
-                        *best = if self.quant.is_some() {
-                            rescore_with_f32(&self.normed, qv, cand, k)
-                        } else {
-                            cand
-                        };
                         query_latency.record_duration(started.elapsed());
                     }
                 });
@@ -490,20 +419,12 @@ impl<'m> HnswIndex<'m> {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `_mm_prefetch` is a pure cache hint — it performs no
         // memory access, cannot fault even on an invalid address, and is
-        // baseline SSE (always present on x86_64). The pointers come from
-        // live `&[f32]`/`&[i8]` rows, so they are valid regardless.
+        // baseline SSE (always present on x86_64). The pointer comes from
+        // a live `&[f32]` row, so it is valid regardless.
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let (p, bytes) = match &self.quant {
-                Some(qm) => {
-                    let row = qm.row(i as usize);
-                    (row.as_ptr(), row.len())
-                }
-                None => {
-                    let row = self.normed.row(i as usize);
-                    (row.as_ptr() as *const i8, std::mem::size_of_val(row))
-                }
-            };
+            let row = self.normed.row(i as usize);
+            let (p, bytes) = (row.as_ptr() as *const i8, std::mem::size_of_val(row));
             let mut off = 0;
             while off < bytes {
                 _mm_prefetch(p.add(off), _MM_HINT_T0);
@@ -518,13 +439,7 @@ impl<'m> HnswIndex<'m> {
     /// search of width `ef` on layer 0. Returns candidates sorted by
     /// decreasing similarity.
     fn search(&self, q: &[f32], ef: usize, scratch: &mut Scratch) -> Vec<Cand> {
-        // External queries are quantized once per search on an int8
-        // index; every beam expansion then runs the integer kernel.
-        let quantized_q = self.quant.as_ref().map(|qm| qm.quantize_query(q));
-        let q = match &quantized_q {
-            Some(qq) => QueryRef::Int8(qq),
-            None => QueryRef::F32(q),
-        };
+        let q = QueryRef::F32(q);
         let entry = self.entry;
         let mut cur = Cand {
             sim: self.sim(q, entry),
@@ -823,6 +738,8 @@ mod tests {
     fn neighbours_come_from_own_cluster() {
         let m = clustered(30);
         let index = HnswIndex::build(&m, &HnswConfig::default(), 1);
+        assert_eq!(index.row_bytes(), 90 * 8 * std::mem::size_of::<f32>());
+        assert!(index.graph_bytes() > 0);
         let nn = index.knn_all(5, 1);
         for (i, neigh) in nn.iter().enumerate() {
             assert_eq!(neigh.len(), 5, "row {i}");
@@ -913,64 +830,5 @@ mod tests {
     fn zero_k_panics() {
         let m = clustered(5);
         HnswIndex::build(&m, &HnswConfig::default(), 1).knn_all(0, 1);
-    }
-
-    #[test]
-    fn quantized_neighbours_come_from_own_cluster() {
-        let m = clustered(30);
-        let index = HnswIndex::build_quantized(&m, &HnswConfig::default(), 1);
-        assert!(index.is_quantized());
-        let nn = index.knn_all(5, 1);
-        for (i, neigh) in nn.iter().enumerate() {
-            assert_eq!(neigh.len(), 5, "row {i}");
-            for n in neigh {
-                assert_eq!(n.index / 30, i / 30, "row {i} got {}", n.index);
-                assert_ne!(n.index, i, "self must be excluded");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_build_thread_count_is_invisible() {
-        let m = clustered(40);
-        let cfg = HnswConfig::default();
-        let serial = HnswIndex::build_quantized(&m, &cfg, 1);
-        let parallel = HnswIndex::build_quantized(&m, &cfg, 4);
-        assert_eq!(serial.fingerprint(), parallel.fingerprint());
-        assert_eq!(serial.knn_all(6, 1), parallel.knn_all(6, 4));
-    }
-
-    #[test]
-    fn quantized_external_queries_hit_the_right_cluster() {
-        let m = clustered(30);
-        let index = HnswIndex::build_quantized(&m, &HnswConfig::default(), 1);
-        let mut queries = vec![0.0f32; 4 * 8];
-        queries[0] = 1.0;
-        queries[8 + 2] = 1.0;
-        queries[16 + 4] = 1.0;
-        let res = index.knn_batch(&queries, 3, 1);
-        for (qc, neigh) in res.iter().take(3).enumerate() {
-            assert_eq!(neigh.len(), 3);
-            for n in neigh {
-                assert_eq!(n.index / 30, qc, "query {qc} got {}", n.index);
-            }
-        }
-        // Zero query quantizes to scale 0: similarities exactly 0, never NaN.
-        assert_eq!(res[3].len(), 3);
-        for n in &res[3] {
-            assert_eq!(n.similarity, 0.0);
-        }
-    }
-
-    #[test]
-    fn quantized_index_shrinks_row_bytes() {
-        let m = clustered(30);
-        let f32_index = HnswIndex::build(&m, &HnswConfig::default(), 1);
-        let int8_index = HnswIndex::build_quantized(&m, &HnswConfig::default(), 1);
-        // At dim 8 the per-row overhead (scale + zero point + code sum)
-        // caps the shrink; the ≤ 30% paper-dim ratio is asserted in
-        // `quant::tests::bytes_accounting_is_under_30_percent_of_f32_at_paper_dim`.
-        assert!(int8_index.row_bytes() < f32_index.row_bytes());
-        assert!(int8_index.graph_bytes() > 0);
     }
 }

@@ -20,44 +20,9 @@ pub use hnsw::{HnswConfig, HnswIndex};
 pub use recall::recall_at_k;
 
 use crate::knn::{knn_all_normalized, knn_batch, Neighbor};
-use crate::quant::QuantizedMatrix;
-use crate::vectors::{dot, normalize_rows, NormalizedMatrix};
+use crate::vectors::NormalizedMatrix;
 use std::ops::Deref;
 use std::sync::Arc;
-
-/// Candidate oversampling for int8 retrieve-and-refine: the quantized
-/// scan fetches `k × REFINE_FACTOR` candidates, exact f32 dots re-rank
-/// them and keep `k`. Quantization error then only matters if a true
-/// top-k neighbour falls outside the oversampled set entirely.
-pub(crate) const REFINE_FACTOR: usize = 4;
-
-/// Candidates to fetch before refinement: `k × REFINE_FACTOR`, capped at
-/// the row count but never below `k`.
-pub(crate) fn refine_fetch(k: usize, rows: usize) -> usize {
-    k.max(k.saturating_mul(REFINE_FACTOR).min(rows))
-}
-
-/// Re-scores int8-retrieved candidates with exact f32 dots against the
-/// (normalised) query and keeps the best `k`: quantization decides the
-/// candidate set, full precision decides the final ranking. Ties break
-/// by ascending index, matching the exact scan.
-pub(crate) fn rescore_with_f32(
-    normed: &NormalizedMatrix,
-    q: &[f32],
-    mut cand: Vec<Neighbor>,
-    k: usize,
-) -> Vec<Neighbor> {
-    for c in &mut cand {
-        c.similarity = dot(q, normed.row(c.index));
-    }
-    cand.sort_unstable_by(|a, b| {
-        b.similarity
-            .total_cmp(&a.similarity)
-            .then(a.index.cmp(&b.index))
-    });
-    cand.truncate(k);
-    cand
-}
 
 /// How an index holds the matrix it searches: borrowed for the classic
 /// batch pipeline (index dies with the pipeline stage), or shared via
@@ -95,40 +60,6 @@ impl From<Arc<NormalizedMatrix>> for MatrixHandle<'_> {
     }
 }
 
-/// Numeric precision of the rows a backend searches over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Full-precision f32 rows — the default everywhere.
-    #[default]
-    F32,
-    /// Int8 scalar-quantized rows ([`crate::quant::QuantizedMatrix`]):
-    /// ~29.5% of the f32 memory at 50 dims, integer SIMD distances,
-    /// similarity within the per-row dequantization envelope.
-    Int8,
-}
-
-impl Precision {
-    /// Short name for flags, logs and manifests.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" => Ok(Precision::F32),
-            "int8" => Ok(Precision::Int8),
-            other => Err(format!("precision must be f32|int8, got {other:?}")),
-        }
-    }
-}
-
 /// Which neighbour-search backend a consumer should use.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum NeighborBackend {
@@ -138,11 +69,6 @@ pub enum NeighborBackend {
     Exact,
     /// Approximate HNSW with the given parameters.
     Hnsw(HnswConfig),
-    /// Exact scan over int8 scalar-quantized rows: the full candidate
-    /// set at ~¼ the memory, similarity within quantization error.
-    ExactInt8,
-    /// HNSW whose distance evaluations run over int8 quantized rows.
-    HnswInt8(HnswConfig),
 }
 
 impl NeighborBackend {
@@ -151,38 +77,10 @@ impl NeighborBackend {
         NeighborBackend::Hnsw(HnswConfig::default())
     }
 
-    /// True for [`NeighborBackend::Exact`] (the f32 scan whose results
-    /// are the ground truth; the int8 scan is exhaustive but carries
-    /// quantization error).
+    /// True for [`NeighborBackend::Exact`], the scan whose results are
+    /// the ground truth.
     pub fn is_exact(&self) -> bool {
         matches!(self, NeighborBackend::Exact)
-    }
-
-    /// The precision knob's current position.
-    pub fn precision(&self) -> Precision {
-        match self {
-            NeighborBackend::Exact | NeighborBackend::Hnsw(_) => Precision::F32,
-            NeighborBackend::ExactInt8 | NeighborBackend::HnswInt8(_) => Precision::Int8,
-        }
-    }
-
-    /// The same backend at another precision (`--precision int8` plumbs
-    /// through here): exact stays exact, HNSW keeps its parameters.
-    pub fn with_precision(self, precision: Precision) -> Self {
-        match (self, precision) {
-            (NeighborBackend::Exact | NeighborBackend::ExactInt8, Precision::F32) => {
-                NeighborBackend::Exact
-            }
-            (NeighborBackend::Exact | NeighborBackend::ExactInt8, Precision::Int8) => {
-                NeighborBackend::ExactInt8
-            }
-            (NeighborBackend::Hnsw(cfg) | NeighborBackend::HnswInt8(cfg), Precision::F32) => {
-                NeighborBackend::Hnsw(cfg)
-            }
-            (NeighborBackend::Hnsw(cfg) | NeighborBackend::HnswInt8(cfg), Precision::Int8) => {
-                NeighborBackend::HnswInt8(cfg)
-            }
-        }
     }
 
     /// Short name for logs and manifests.
@@ -190,15 +88,12 @@ impl NeighborBackend {
         match self {
             NeighborBackend::Exact => "exact",
             NeighborBackend::Hnsw(_) => "hnsw",
-            NeighborBackend::ExactInt8 => "exact-int8",
-            NeighborBackend::HnswInt8(_) => "hnsw-int8",
         }
     }
 
     /// Builds an index over `normed` with this backend. Exact "builds"
-    /// are free (the index is a view); HNSW pays its construction here
-    /// and the int8 backends quantize the matrix once. `threads` bounds
-    /// build parallelism (0 = all cores).
+    /// are free (the index is a view); HNSW pays its construction here.
+    /// `threads` bounds build parallelism (0 = all cores).
     pub fn index<'m>(
         &self,
         normed: &'m NormalizedMatrix,
@@ -207,22 +102,13 @@ impl NeighborBackend {
         match self {
             NeighborBackend::Exact => Box::new(ExactIndex::new(normed)),
             NeighborBackend::Hnsw(cfg) => Box::new(HnswIndex::build(normed, cfg, threads)),
-            NeighborBackend::ExactInt8 => Box::new(QuantizedExactIndex::with_refine(
-                QuantizedMatrix::from_normalized(normed),
-                normed,
-            )),
-            NeighborBackend::HnswInt8(cfg) => {
-                Box::new(HnswIndex::build_quantized(normed, cfg, threads))
-            }
         }
     }
 
     /// Like [`NeighborBackend::index`], but the index co-owns the matrix
     /// through an [`Arc`], so the result is `'static` and can be handed
     /// to other threads — the external query path used by long-running
-    /// servers that swap models while queries are in flight. Both int8
-    /// backends scan their quantized copy and co-own the `Arc` only for
-    /// the f32 refinement pass.
+    /// servers that swap models while queries are in flight.
     pub fn index_shared(
         &self,
         normed: Arc<NormalizedMatrix>,
@@ -231,13 +117,6 @@ impl NeighborBackend {
         match self {
             NeighborBackend::Exact => Box::new(ExactIndex::new(normed)),
             NeighborBackend::Hnsw(cfg) => Box::new(HnswIndex::build(normed, cfg, threads)),
-            NeighborBackend::ExactInt8 => Box::new(QuantizedExactIndex::with_refine(
-                QuantizedMatrix::from_normalized(&normed),
-                normed,
-            )),
-            NeighborBackend::HnswInt8(cfg) => {
-                Box::new(HnswIndex::build_quantized(normed, cfg, threads))
-            }
         }
     }
 }
@@ -287,81 +166,6 @@ impl NeighborIndex for ExactIndex<'_> {
 
     fn knn_batch(&self, queries: &[f32], k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
         knn_batch(&self.normed, queries, k, threads)
-    }
-}
-
-/// The int8 exhaustive backend: scans every row with the integer SIMD
-/// dot kernel — the full candidate set at ~¼ the memory traffic. With a
-/// refine handle (how [`NeighborBackend`] builds it) the scan fetches
-/// `k × REFINE_FACTOR` candidates and exact f32 dots re-rank them; the
-/// handle borrows or `Arc`-shares the caller's matrix, so no f32 copy
-/// is made. Without one ([`QuantizedExactIndex::new`]) results are pure
-/// int8 — the mode for codes loaded straight from the chunked store,
-/// where no f32 rows exist.
-pub struct QuantizedExactIndex<'m> {
-    quant: QuantizedMatrix,
-    refine: Option<MatrixHandle<'m>>,
-}
-
-impl<'m> QuantizedExactIndex<'m> {
-    /// Wraps an already-quantized matrix; searches rank by dequantized
-    /// similarity only.
-    pub fn new(quant: QuantizedMatrix) -> Self {
-        QuantizedExactIndex {
-            quant,
-            refine: None,
-        }
-    }
-
-    /// Wraps a quantized matrix together with the f32 matrix it came
-    /// from: int8 retrieves, f32 re-ranks.
-    pub fn with_refine(quant: QuantizedMatrix, normed: impl Into<MatrixHandle<'m>>) -> Self {
-        QuantizedExactIndex {
-            quant,
-            refine: Some(normed.into()),
-        }
-    }
-
-    /// The quantized rows (for memory accounting and persistence).
-    pub fn matrix(&self) -> &QuantizedMatrix {
-        &self.quant
-    }
-}
-
-impl NeighborIndex for QuantizedExactIndex<'_> {
-    fn rows(&self) -> usize {
-        self.quant.rows()
-    }
-
-    fn knn_all(&self, k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let Some(normed) = &self.refine else {
-            return self.quant.knn_all(k, threads);
-        };
-        let fetch = refine_fetch(k, self.quant.rows());
-        self.quant
-            .knn_all(fetch, threads)
-            .into_iter()
-            .enumerate()
-            .map(|(row, cand)| rescore_with_f32(normed, normed.row(row), cand, k))
-            .collect()
-    }
-
-    fn knn_batch(&self, queries: &[f32], k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
-        let Some(normed) = &self.refine else {
-            return self.quant.knn_batch(queries, k, threads);
-        };
-        let fetch = refine_fetch(k, self.quant.rows());
-        let dim = self.quant.dim();
-        let mut normed_q = queries.to_vec();
-        normalize_rows(&mut normed_q, dim);
-        self.quant
-            .knn_batch(queries, fetch, threads)
-            .into_iter()
-            .enumerate()
-            .map(|(qi, cand)| {
-                rescore_with_f32(normed, &normed_q[qi * dim..(qi + 1) * dim], cand, k)
-            })
-            .collect()
     }
 }
 
@@ -439,90 +243,12 @@ mod tests {
         assert!(!NeighborBackend::ann().is_exact());
         assert_eq!(NeighborBackend::Exact.name(), "exact");
         assert_eq!(NeighborBackend::ann().name(), "hnsw");
-        assert_eq!(NeighborBackend::ExactInt8.name(), "exact-int8");
-        assert_eq!(
-            NeighborBackend::ann()
-                .with_precision(Precision::Int8)
-                .name(),
-            "hnsw-int8"
-        );
     }
 
     #[test]
-    fn precision_knob_round_trips() {
-        assert_eq!(Precision::default(), Precision::F32);
-        assert_eq!("int8".parse::<Precision>().unwrap(), Precision::Int8);
-        assert_eq!("f32".parse::<Precision>().unwrap(), Precision::F32);
-        assert!("fp16".parse::<Precision>().is_err());
-        for backend in [NeighborBackend::Exact, NeighborBackend::ann()] {
-            let int8 = backend.clone().with_precision(Precision::Int8);
-            assert_eq!(int8.precision(), Precision::Int8);
-            assert!(!int8.is_exact(), "int8 carries quantization error");
-            assert_eq!(int8.with_precision(Precision::F32), backend);
-        }
-    }
-
-    #[test]
-    fn int8_backends_return_sane_neighbours() {
-        // Within a tight group the true similarity spread is below int8
-        // resolution, so only group membership is asserted, not order.
-        let m = two_groups();
-        for backend in [
-            NeighborBackend::ExactInt8,
-            NeighborBackend::ann().with_precision(Precision::Int8),
-        ] {
-            let got = knn_all_with(&m, 3, 1, &backend);
-            assert_eq!(got.len(), 12, "{}", backend.name());
-            for (i, neigh) in got.iter().enumerate() {
-                assert_eq!(neigh.len(), 3, "{} row {i}", backend.name());
-                for n in neigh {
-                    assert_eq!(n.index / 6, i / 6, "{} row {i}", backend.name());
-                    assert_ne!(n.index, i, "self must be excluded");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn refined_int8_backends_reproduce_exact_ranking() {
-        // At 12 rows the refine oversample (4k = 12) covers every row,
-        // so the f32 re-rank must reproduce the exact scan's order even
-        // where the int8 codes alone could not.
-        let m = two_groups();
-        let exact = knn_all_normalized(&m, 3, 1);
-        for backend in [
-            NeighborBackend::ExactInt8,
-            NeighborBackend::ann().with_precision(Precision::Int8),
-        ] {
-            let got = backend.index(&m, 1).knn_all(3, 1);
-            for (i, (e, g)) in exact.iter().zip(&got).enumerate() {
-                let ei: Vec<usize> = e.iter().map(|n| n.index).collect();
-                let gi: Vec<usize> = g.iter().map(|n| n.index).collect();
-                assert_eq!(ei, gi, "{} row {i}", backend.name());
-            }
-        }
-    }
-
-    #[test]
-    fn unrefined_quantized_index_still_answers() {
-        // Codes loaded from disk without f32 rows: pure int8 ranking.
-        let m = two_groups();
-        let index = QuantizedExactIndex::new(QuantizedMatrix::from_normalized(&m));
-        let got = index.knn_all(3, 1);
-        for (i, neigh) in got.iter().enumerate() {
-            for n in neigh {
-                assert_eq!(n.index / 6, i / 6, "row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_int8_indexes_are_static_and_queryable() {
+    fn shared_indexes_are_static_and_queryable() {
         let m = Arc::new(two_groups());
-        for backend in [
-            NeighborBackend::ExactInt8,
-            NeighborBackend::ann().with_precision(Precision::Int8),
-        ] {
+        for backend in [NeighborBackend::Exact, NeighborBackend::ann()] {
             let index = backend.index_shared(Arc::clone(&m), 1);
             let handle = std::thread::spawn(move || index.knn_batch(&[1.0, 0.0], 2, 1));
             let res = handle.join().unwrap();

@@ -24,13 +24,11 @@ use darkvec_kernels::dot_rows;
 use std::time::Instant;
 
 /// Candidate rows per cache tile (× 50 dims × 4 bytes ≈ 50 KB, sized for
-/// L2 residency with headroom for the queries). Shared with the
-/// quantized scan in [`crate::quant`], whose tiles are 4× smaller in
-/// bytes at the same row count.
-pub(crate) const TILE_ROWS: usize = 256;
+/// L2 residency with headroom for the queries).
+const TILE_ROWS: usize = 256;
 
 /// Queries advanced together over one tile.
-pub(crate) const QUERY_BLOCK: usize = 8;
+const QUERY_BLOCK: usize = 8;
 
 /// One neighbour of a query row.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -186,7 +184,7 @@ fn threshold(best: &[Neighbor], k: usize) -> f32 {
 /// k is tiny (≤ ~35 in every experiment) and the branch predictor loves
 /// the common no-insert path.
 #[inline]
-pub(crate) fn insert_bounded(best: &mut Vec<Neighbor>, k: usize, index: usize, similarity: f32) {
+fn insert_bounded(best: &mut Vec<Neighbor>, k: usize, index: usize, similarity: f32) {
     if best.len() == k && similarity <= best[k - 1].similarity {
         return;
     }

@@ -29,18 +29,13 @@ pub mod hac;
 pub mod kmeans;
 pub mod knn;
 pub mod metrics;
-pub mod quant;
 pub mod vectors;
 
-pub use ann::{
-    recall_at_k, HnswConfig, HnswIndex, NeighborBackend, NeighborIndex, Precision,
-    QuantizedExactIndex,
-};
+pub use ann::{recall_at_k, HnswConfig, HnswIndex, NeighborBackend, NeighborIndex};
 pub use classifier::{loo_knn_classify, LooOutcome};
 pub use dbscan::{dbscan, DbscanConfig};
 pub use hac::{hac_average, Dendrogram};
 pub use kmeans::{kmeans, KMeansConfig};
 pub use knn::{knn_all, knn_batch, knn_query, Neighbor};
 pub use metrics::{ClassReport, ConfusionMatrix};
-pub use quant::{QuantizedMatrix, QuantizedQuery};
 pub use vectors::{cosine, normalize_rows, normalize_vec, Matrix};

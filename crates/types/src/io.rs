@@ -121,8 +121,13 @@ pub fn from_bytes(mut buf: impl Buf) -> Result<Trace> {
     if buf.get_u8() != VERSION {
         return Err(err("unsupported version"));
     }
-    let n = buf.get_u64_le() as usize;
-    if buf.remaining() < n * 16 {
+    // Untrusted count: a wrapped `n * 16` would pass the length check
+    // and then overflow `Vec::with_capacity`.
+    let n = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
+    let body = n
+        .checked_mul(16)
+        .ok_or_else(|| err("packet count overflows"))?;
+    if buf.remaining() < body {
         return Err(err("truncated body"));
     }
     let mut packets = Vec::with_capacity(n);
@@ -221,6 +226,17 @@ mod tests {
                 from_bytes(&bytes[..cut]).is_err(),
                 "cut at {cut} should fail"
             );
+        }
+    }
+
+    #[test]
+    fn binary_rejects_inflated_length() {
+        for n in [1u64 << 60, u64::MAX] {
+            let mut header = MAGIC.to_vec();
+            header.push(VERSION);
+            header.extend_from_slice(&n.to_le_bytes());
+            assert_eq!(header.len(), 13);
+            assert!(from_bytes(&header[..]).is_err(), "n = {n} must be rejected");
         }
     }
 
