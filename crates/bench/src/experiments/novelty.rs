@@ -31,13 +31,13 @@ use crate::table::TextTable;
 use crate::Ctx;
 use darkvec::config::SlidingWindow;
 use darkvec::incremental::{run_sliding, IncrementalOptions};
-use darkvec::inspect::profile_clusters;
-use darkvec::lineage::{ClusterObservation, LineageConfig, LineageTracker};
+use darkvec::lineage::{LineageConfig, LineageTracker};
+use darkvec::window::window_observations;
 use darkvec_gen::address_space::AddressAllocator;
 use darkvec_gen::campaigns::build_all;
 use darkvec_gen::{inject_group, realize, CampaignId, GtClass, InjectedGroup};
 use darkvec_obs::Json;
-use darkvec_types::{Ipv4, Timestamp, DAY};
+use darkvec_types::Ipv4;
 use std::collections::{HashMap, HashSet};
 
 /// k of the per-window k′-NN clustering graph.
@@ -189,22 +189,14 @@ pub fn novelty(ctx: &Ctx) -> String {
             true_alerts: 0,
         };
         if let Some(clustering) = s.clustering.as_ref() {
-            let emb = &s.model.embedding;
-            let wtrace = out.trace.slice_time(
-                Timestamp(s.start_day * DAY),
-                Timestamp((s.end_day + 1) * DAY),
+            let (observations, present) = window_observations(
+                &out.trace,
+                (s.start_day, s.end_day),
+                &s.model.embedding,
+                clustering,
+                |group| dominant_label(group, &gt_labels),
             );
-            let profiles = profile_clusters(&wtrace, emb, clustering);
-            let observations: Vec<ClusterObservation> = clustering
-                .members(emb)
-                .into_iter()
-                .enumerate()
-                .map(|(c, group)| observation(c, group, emb, &profiles, &gt_labels))
-                .collect();
             row.clusters = observations.len();
-            // Freshness presence: every sender in the window's raw
-            // traffic, so sub-threshold sporadics never read as novel.
-            let present: Vec<Ipv4> = wtrace.senders().into_iter().collect();
             let alerts =
                 tracker.observe_with_presence((s.start_day, s.end_day), &observations, &present);
             for a in &alerts {
@@ -354,54 +346,22 @@ pub fn novelty(ctx: &Ctx) -> String {
     txt
 }
 
-/// Builds one cluster's observation: mean-of-members centroid, dominant
-/// non-Unknown ground-truth label (the share a real deployment would get
-/// from fingerprints and published lists), inspect evidence from the
-/// window's own traffic.
-fn observation(
-    c: usize,
-    group: Vec<Ipv4>,
-    emb: &darkvec_w2v::Embedding<Ipv4>,
-    profiles: &[darkvec::inspect::ClusterProfile],
-    gt_labels: &HashMap<Ipv4, GtClass>,
-) -> ClusterObservation {
-    let mut centroid = vec![0.0f32; emb.dim()];
-    for ip in &group {
-        if let Some(row) = emb.get(ip) {
-            for (acc, &x) in centroid.iter_mut().zip(row) {
-                *acc += x;
-            }
-        }
-    }
-    let n = group.len().max(1) as f32;
-    for acc in &mut centroid {
-        *acc /= n;
-    }
+/// A cluster's dominant non-Unknown ground-truth label and its share of
+/// the members — the share a real deployment would get from fingerprints
+/// and published lists.
+fn dominant_label(group: &[Ipv4], gt_labels: &HashMap<Ipv4, GtClass>) -> Option<(String, f64)> {
     let mut counts: HashMap<GtClass, usize> = HashMap::new();
-    for ip in &group {
+    for ip in group {
         let class = gt_labels.get(ip).copied().unwrap_or(GtClass::Unknown);
         *counts.entry(class).or_insert(0) += 1;
     }
     // Deterministic dominant pick: by count, then label id — independent
     // of HashMap iteration order.
-    let label = counts
+    counts
         .iter()
         .filter(|(class, _)| **class != GtClass::Unknown)
         .max_by_key(|(class, &n)| (n, std::cmp::Reverse(class.label())))
-        .map(|(class, &n)| (class.name().to_string(), n as f64 / group.len() as f64));
-    let p = &profiles[c];
-    ClusterObservation {
-        cluster: c as u32,
-        members: group,
-        centroid,
-        label,
-        top_ports: p
-            .top_ports
-            .iter()
-            .map(|(key, share)| (key.to_string(), *share))
-            .collect(),
-        regularity: p.regularity.name().to_string(),
-    }
+        .map(|(class, &n)| (class.name().to_string(), n as f64 / group.len() as f64))
 }
 
 fn pass(ok: bool) -> &'static str {

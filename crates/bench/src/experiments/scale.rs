@@ -23,6 +23,7 @@
 use crate::experiments::ann::campaign_matrix;
 use crate::table::TextTable;
 use crate::Ctx;
+use darkvec::corpus::build_day_corpus;
 use darkvec::pipeline::resolve_services;
 use darkvec::shard::{build_shards, merge_shards};
 use darkvec_ml::ann::{recall_at_k, HnswConfig, HnswIndex};
@@ -88,22 +89,13 @@ pub fn scale(ctx: &Ctx) -> String {
     let cfg = ctx.default_config();
     let services = resolve_services(trace, &cfg.service);
     let days = trace.days().max(1);
-    let keys: Vec<u64> = (0..days).collect();
+    let day_corpus = |day| build_day_corpus(trace, day, &services, cfg.dt);
 
     let start = Instant::now();
-    let serial = build_shards(trace, 0, days - 1, &keys, &services, cfg.dt, None, 1);
+    let serial = build_shards(0..days, 1, day_corpus);
     let serial_secs = start.elapsed().as_secs_f64().max(1e-9);
     let start = Instant::now();
-    let parallel = build_shards(
-        trace,
-        0,
-        days - 1,
-        &keys,
-        &services,
-        cfg.dt,
-        None,
-        SHARD_THREADS,
-    );
+    let parallel = build_shards(0..days, SHARD_THREADS, day_corpus);
     let parallel_secs = start.elapsed().as_secs_f64().max(1e-9);
     let speedup = serial_secs / parallel_secs;
 

@@ -5,16 +5,17 @@ use darkvec::cache::ArtifactCache;
 use darkvec::config::{DarkVecConfig, ServiceDef, SlidingWindow};
 use darkvec::incremental::{run_sliding, IncrementalOptions};
 use darkvec::inspect::profile_clusters;
-use darkvec::lineage::{ClusterObservation, LineageConfig, LineageTracker, NoveltyAlert};
+use darkvec::lineage::{LineageConfig, LineageTracker, NoveltyAlert};
 use darkvec::pipeline::{self, TrainedModel};
 use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
+use darkvec::window::{check_windowed, window_observations};
 use darkvec::{Client, Daemon, ServeConfig};
 use darkvec_gen::{pump, simulate as run_sim, PacketStream, SimConfig};
 use darkvec_ml::ann::NeighborBackend;
 use darkvec_obs::diff::{diff_manifests, DiffOptions};
 use darkvec_obs::trace::chrome_trace;
 use darkvec_obs::{info, manifest, metrics, Json};
-use darkvec_types::{io, Anonymizer, Ipv4, Protocol, Timestamp, Trace, DAY};
+use darkvec_types::{io, Anonymizer, Ipv4, Protocol, Trace};
 use darkvec_w2v::Embedding;
 use std::path::Path;
 use std::time::Duration;
@@ -311,12 +312,7 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
         days: opts.get_or("window-days", 30u64)?,
         stride: opts.get_or("stride", 1u64)?,
     };
-    if cfg.window.days == 0 || cfg.window.stride == 0 {
-        return Err("--window-days and --stride must be positive".to_string());
-    }
-    if cfg.dt == 0 || !darkvec_types::DAY.is_multiple_of(cfg.dt) {
-        return Err(format!("--dt ({}) must divide a day", cfg.dt));
-    }
+    check_windowed(&cfg)?;
     let k: usize = opts.get_or("k", 3usize)?;
     let run_opts = IncrementalOptions {
         warm_epochs: opts.get_or("warm-epochs", 2usize)?,
@@ -403,49 +399,15 @@ pub fn incremental(opts: &Options) -> Result<(), String> {
         let Some(clustering) = s.clustering.as_ref() else {
             continue;
         };
-        let emb = &s.model.embedding;
-        let wtrace = trace.slice_time(
-            Timestamp(s.start_day * DAY),
-            Timestamp((s.end_day + 1) * DAY),
+        // Real captures carry no ground-truth side channel; size and
+        // ancestry alone gate the alerts.
+        let (observations, present) = window_observations(
+            &trace,
+            (s.start_day, s.end_day),
+            &s.model.embedding,
+            clustering,
+            |_| None,
         );
-        let profiles = profile_clusters(&wtrace, emb, clustering);
-        let observations: Vec<ClusterObservation> = clustering
-            .members(emb)
-            .into_iter()
-            .enumerate()
-            .map(|(c, group)| {
-                let mut centroid = vec![0.0f32; emb.dim()];
-                for ip in &group {
-                    if let Some(row) = emb.get(ip) {
-                        for (acc, &x) in centroid.iter_mut().zip(row) {
-                            *acc += x;
-                        }
-                    }
-                }
-                let n = group.len().max(1) as f32;
-                for acc in &mut centroid {
-                    *acc /= n;
-                }
-                let p = &profiles[c];
-                ClusterObservation {
-                    cluster: c as u32,
-                    members: group,
-                    centroid,
-                    // Real captures carry no ground-truth side channel;
-                    // size and ancestry alone gate the alerts.
-                    label: None,
-                    top_ports: p
-                        .top_ports
-                        .iter()
-                        .map(|(key, share)| (key.to_string(), *share))
-                        .collect(),
-                    regularity: p.regularity.name().to_string(),
-                }
-            })
-            .collect();
-        // Freshness presence: every sender in the window's raw traffic,
-        // so sub-threshold sporadics never read as novel later.
-        let present: Vec<_> = wtrace.senders().into_iter().collect();
         alerts.extend(tracker.observe_with_presence(
             (s.start_day, s.end_day),
             &observations,
@@ -577,12 +539,7 @@ pub fn serve(opts: &Options) -> Result<(), String> {
         days: opts.get_or("window-days", 7u64)?,
         stride: opts.get_or("stride", 1u64)?,
     };
-    if cfg.window.days == 0 || cfg.window.stride == 0 {
-        return Err("--window-days and --stride must be positive".to_string());
-    }
-    if cfg.dt == 0 || !darkvec_types::DAY.is_multiple_of(cfg.dt) {
-        return Err(format!("--dt ({}) must divide a day", cfg.dt));
-    }
+    check_windowed(&cfg)?;
     let mut serve_cfg = ServeConfig::new(cfg);
     serve_cfg.warm_epochs = opts.get_or("warm-epochs", 2usize)?;
     serve_cfg.k = opts.get_or("k", 7usize)?;

@@ -5,6 +5,9 @@
 //! trained model, kNN neighbour lists) is served from a content-addressed
 //! [`ArtifactCache`] when its inputs have not changed.
 //!
+//! [`run_sliding`] drives the window step of [`crate::window`] in batch:
+//! it resolves services, lays out the windows and times each step.
+//!
 //! ## Equivalence with the one-shot pipeline
 //!
 //! Per-day corpora are built *unfiltered* and activity filtering moves to
@@ -23,21 +26,14 @@
 //! incremental step count the unfiltered window corpus (a shard cannot
 //! know window-global activity).
 
-use crate::cache::{fnv1a64, hash_packets, ArtifactCache, KeyHasher};
+use crate::cache::ArtifactCache;
 use crate::config::DarkVecConfig;
-use crate::corpus::corpus_stats;
 use crate::pipeline::{resolve_services, TrainedModel};
 use crate::shard::{build_shards, merge_shards};
-use crate::unsupervised::{canonical_assignment, Clustering};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use darkvec_graph::knn_graph::{knn_graph_from_neighbors, KnnGraphConfig};
-use darkvec_graph::louvain::louvain;
-use darkvec_graph::silhouette::cluster_silhouettes_normalized;
-use darkvec_ml::ann::{knn_all_with, NeighborBackend};
-use darkvec_ml::knn::Neighbor;
-use darkvec_ml::vectors::Matrix;
-use darkvec_types::{Trace, DAY};
-use darkvec_w2v::{count_skipgrams, train_prepared};
+use crate::unsupervised::{ClusterConfig, Clustering};
+use crate::window::{self, day_key, Artifacts, WindowEngine};
+use darkvec_ml::ann::NeighborBackend;
+use darkvec_types::Trace;
 use std::time::Instant;
 
 /// Knobs of the incremental runner that are not part of the model
@@ -46,8 +42,9 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalOptions {
     /// Epochs for warm-started steps; `0` disables warm starting (every
-    /// step cold-retrains with the full `cfg.w2v.epochs`). The first step
-    /// always trains cold — there is no prior to resume from.
+    /// step cold-retrains with the full `cfg.w2v.epochs`). A step with no
+    /// non-empty model before it — the first, at least — trains cold:
+    /// there is no prior to resume from.
     pub warm_epochs: usize,
     /// `Some(k)` clusters each step's embedding with a k′-NN graph +
     /// Louvain (seeded by `cfg.w2v.seed`), caching the neighbour lists.
@@ -75,7 +72,8 @@ pub struct DayOutcome {
     pub start_day: u64,
     /// Last capture day (inclusive) of this window — the "current day".
     pub end_day: u64,
-    /// Whether this step warm-started from the previous step's model.
+    /// Whether this step warm-started from the last non-empty step's
+    /// model.
     pub warm: bool,
     /// Whether the model was served from the artifact cache.
     pub from_cache: bool,
@@ -103,23 +101,14 @@ pub struct DayOutcome {
 /// salt, so a second identical run is served entirely from disk.
 ///
 /// # Panics
-/// Panics if `cfg.dt` is zero or does not divide a day (the shard
-/// equivalence argument needs day-aligned ΔT windows), or if
-/// `cfg.window.days`/`stride` is zero.
+/// Panics unless [`window::check_windowed`] accepts `cfg`.
 pub fn run_sliding(
     trace: &Trace,
     cfg: &DarkVecConfig,
     opts: &IncrementalOptions,
     cache: Option<&ArtifactCache>,
 ) -> Vec<DayOutcome> {
-    assert!(cfg.dt > 0, "dt must be positive");
-    assert!(
-        DAY.is_multiple_of(cfg.dt),
-        "incremental sharding needs dt ({}) to divide a day",
-        cfg.dt
-    );
-    assert!(cfg.window.days > 0, "window.days must be positive");
-    assert!(cfg.window.stride > 0, "window.stride must be positive");
+    window::check_windowed(cfg).expect("sliding windows need a day-aligned config");
     let _span = darkvec_obs::span!("incremental");
 
     let total_days = trace.days();
@@ -140,13 +129,12 @@ pub fn run_sliding(
             def => resolve_services(trace, def),
         }
     };
-    let services_hash = fnv1a64(&services.to_bytes());
     let fingerprint = cfg.fingerprint();
-    let config_hash = cfg.fingerprint_hash();
-
-    // The trainer owns activity filtering (see module docs).
-    let mut train_cfg = cfg.w2v.clone();
-    train_cfg.min_count = cfg.min_packets.max(cfg.w2v.min_count);
+    let artifacts = Artifacts {
+        cache,
+        faults: &|what, detail| darkvec_obs::warn!("{what}: {detail}; rebuilt"),
+    };
+    let mut engine = WindowEngine::new(cfg, opts.warm_epochs, cfg.w2v.threads, artifacts);
 
     // Window ends: the first window ends as soon as `days` days exist (or
     // the trace ends), then advances by `stride`. When the stride does not
@@ -166,22 +154,11 @@ pub fn run_sliding(
         ends.push(total_days - 1);
     }
 
-    let mut day_keys: Vec<Option<u64>> = vec![None; total_days as usize];
-    let mut key_of_day = |day: u64| -> u64 {
-        *day_keys[day as usize].get_or_insert_with(|| {
-            let mut h = KeyHasher::new();
-            h.write_str("corpus")
-                .write_str(&fingerprint)
-                .write_u64(services_hash)
-                .write_u64(day)
-                .write_u64(hash_packets(trace.day_slice(day)));
-            h.finish()
-        })
-    };
+    let day_keys: Vec<u64> = (0..total_days)
+        .map(|day| day_key(&fingerprint, &services, trace, day))
+        .collect();
 
     let mut outcomes: Vec<DayOutcome> = Vec::with_capacity(ends.len());
-    let mut prior: Option<(u64, TrainedModel)> = None; // (model_key, model)
-
     let step_latency = darkvec_obs::metrics::histogram("incremental.step_ns");
     let cache_io_ns = || {
         darkvec_obs::metrics::histogram("cache.hit_ns").sum()
@@ -195,143 +172,39 @@ pub fn run_sliding(
         let _step = darkvec_obs::span!("incremental.step");
         let start_day = (end_day + 1).saturating_sub(cfg.window.days);
 
-        // 1. Window corpus out of per-day shards, built in parallel and
-        // merged deterministically — bit-identical to the old serial
-        // loop for any `shard_threads` (see `crate::shard`).
-        let step_day_keys: Vec<u64> = (start_day..=end_day).map(&mut key_of_day).collect();
+        // Window corpus out of per-day shards, built in parallel and
+        // merged deterministically — bit-identical to a serial loop for
+        // any `shard_threads` (see `crate::shard`).
+        let step_day_keys = &day_keys[start_day as usize..=end_day as usize];
         let merged = merge_shards(build_shards(
-            trace,
-            start_day,
-            end_day,
-            &step_day_keys,
-            &services,
-            cfg.dt,
-            cache,
+            start_day..end_day + 1,
             opts.shard_threads,
+            |day| artifacts.day_corpus(day_keys[day as usize], trace, day, &services, cfg.dt),
         ));
-        let corpus = &merged.corpus;
-
-        // 2. The model key chains: a warm model depends on everything its
-        // prior depended on, transitively, via the prior's key.
-        let warm = opts.warm_epochs > 0 && prior.is_some();
-        let model_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("model")
-                .write_str(&fingerprint)
-                .write_u64(services_hash);
-            for &k in &step_day_keys {
-                h.write_u64(k);
-            }
-            if warm {
-                let (prior_key, _) = prior.as_ref().expect("warm implies prior");
-                h.write_str("warm")
-                    .write_u64(opts.warm_epochs as u64)
-                    .write_u64(*prior_key);
-            } else {
-                h.write_str("cold");
-            }
-            h.finish()
-        };
-
-        // 3. Model: cache, else train (warm or cold).
-        let cached_model = cache
-            .and_then(|c| c.load("model", model_key))
-            .and_then(|raw| TrainedModel::from_bytes(&raw[..]).ok());
-        let from_cache = cached_model.is_some();
-        let mut train_secs = 0.0;
-        let model = cached_model.unwrap_or_else(|| {
-            let stats = corpus_stats(corpus);
-            let skipgrams = count_skipgrams(corpus, cfg.w2v.window);
-            let t0 = Instant::now();
-            let (embedding, train_stats) = {
-                let _s = darkvec_obs::span!("incremental.train");
-                // The parallel build already merged per-shard counts;
-                // feed the induced vocabulary straight to the trainer
-                // instead of re-scanning the window corpus.
-                let vocab = merged.vocab(train_cfg.min_count);
-                if warm {
-                    let (_, prior_model) = prior.as_ref().expect("warm implies prior");
-                    let mut warm_cfg = train_cfg.clone();
-                    warm_cfg.epochs = opts.warm_epochs;
-                    train_prepared(corpus, &warm_cfg, vocab, Some(&prior_model.embedding))
-                } else {
-                    train_prepared(corpus, &train_cfg, vocab, None)
-                }
-            };
-            train_secs = t0.elapsed().as_secs_f64();
-            let model = TrainedModel {
-                embedding,
-                services: services.clone(),
-                corpus: stats,
-                skipgrams,
-                train: train_stats,
-                config_hash,
-            };
-            if let Some(c) = cache {
-                let _ = c.store("model", model_key, &model.to_bytes());
-            }
-            model
-        });
-        darkvec_obs::metrics::counter(if warm {
+        let step = engine.train(&merged, &services, step_day_keys);
+        darkvec_obs::metrics::counter(if step.warm {
             "incremental.warm_steps"
         } else {
             "incremental.cold_steps"
         })
         .add(1);
 
-        // 4. Optional clustering, with the O(n²) neighbour search cached.
+        // Optional clustering, with the O(n²) neighbour search cached.
         let clustering = opts
             .cluster_k
-            .filter(|_| !model.embedding.is_empty())
+            .filter(|_| !step.model.embedding.is_empty())
             .map(|k| {
-                let _s = darkvec_obs::span!("incremental.cluster");
-                let normed = Matrix::new(
-                    model.embedding.vectors(),
-                    model.embedding.len(),
-                    model.embedding.dim(),
-                )
-                .normalized();
-                let knn_key = {
-                    let mut h = KeyHasher::new();
-                    h.write_str("knn").write_u64(model_key).write_u64(k as u64);
-                    h.finish()
+                let cluster_cfg = ClusterConfig {
+                    k,
+                    seed: cfg.w2v.seed,
+                    threads: cfg.w2v.threads,
+                    backend: NeighborBackend::Exact,
                 };
-                let neighbors = cache
-                    .and_then(|c| c.load("knn", knn_key))
-                    .and_then(|raw| neighbors_from_bytes(&raw[..]).ok())
-                    .unwrap_or_else(|| {
-                        let found =
-                            knn_all_with(&normed, k, cfg.w2v.threads, &NeighborBackend::Exact);
-                        if let Some(c) = cache {
-                            let _ = c.store("knn", knn_key, &neighbors_to_bytes(&found));
-                        }
-                        found
-                    });
-                let graph = knn_graph_from_neighbors(
-                    normed.rows(),
-                    &neighbors,
-                    &KnnGraphConfig {
-                        k,
-                        threads: cfg.w2v.threads,
-                        mutual: false,
-                        backend: NeighborBackend::Exact,
-                    },
-                );
-                let partition = louvain(&graph, cfg.w2v.seed);
-                // Canonical ids (smallest member address first) so the same
-                // group keeps its id across windows — lineage depends on it.
-                let assignment = canonical_assignment(
-                    &model.embedding,
-                    &partition.assignment,
-                    partition.communities,
-                );
-                let silhouettes = cluster_silhouettes_normalized(&normed, &assignment);
-                Clustering {
-                    assignment,
-                    clusters: partition.communities,
-                    modularity: partition.modularity,
-                    silhouettes,
-                }
+                window::cluster(
+                    &step.model.embedding,
+                    &cluster_cfg,
+                    Some((artifacts, step.key)),
+                )
             });
 
         let step_secs = step_start.elapsed().as_secs_f64();
@@ -340,26 +213,19 @@ pub fn run_sliding(
         darkvec_obs::metrics::record_sample();
         darkvec_obs::debug!(
             "step days {start_day}..={end_day}: vocab {}, {} ({:.2}s)",
-            model.embedding.len(),
-            if from_cache {
-                "cached"
-            } else if warm {
-                "warm-trained"
-            } else {
-                "cold-trained"
-            },
+            step.model.embedding.len(),
+            step.source(),
             step_secs
         );
-        prior = Some((model_key, model.clone()));
         outcomes.push(DayOutcome {
             start_day,
             end_day,
-            warm,
-            from_cache,
-            model,
+            warm: step.warm,
+            from_cache: step.from_cache,
+            model: step.model,
             clustering,
-            model_key,
-            train_secs,
+            model_key: step.key,
+            train_secs: step.train_secs,
             step_secs,
             cache_secs,
         });
@@ -368,85 +234,9 @@ pub fn run_sliding(
     outcomes
 }
 
-/// Serialises kNN neighbour lists for the artifact cache.
-fn neighbors_to_bytes(neighbors: &[Vec<Neighbor>]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u32_le(neighbors.len() as u32);
-    for row in neighbors {
-        buf.put_u32_le(row.len() as u32);
-        for nb in row {
-            buf.put_u32_le(nb.index as u32);
-            buf.put_f32_le(nb.similarity);
-        }
-    }
-    buf.freeze()
-}
-
-/// Inverse of [`neighbors_to_bytes`]; fails cleanly on truncated input.
-fn neighbors_from_bytes(mut buf: impl Buf) -> Result<Vec<Vec<Neighbor>>, String> {
-    if buf.remaining() < 4 {
-        return Err("truncated neighbour lists: missing header".to_string());
-    }
-    let rows = buf.get_u32_le() as usize;
-    if buf.remaining() < rows * 4 {
-        return Err("truncated neighbour lists: header promises more rows".to_string());
-    }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        if buf.remaining() < 4 {
-            return Err("truncated neighbour lists: missing row length".to_string());
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 8 {
-            return Err("truncated neighbour lists: row overruns buffer".to_string());
-        }
-        let mut row = Vec::with_capacity(len);
-        for _ in 0..len {
-            let index = buf.get_u32_le() as usize;
-            let similarity = buf.get_f32_le();
-            row.push(Neighbor { index, similarity });
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn neighbor_bytes_round_trip_and_truncate() {
-        let lists = vec![
-            vec![
-                Neighbor {
-                    index: 3,
-                    similarity: 0.5,
-                },
-                Neighbor {
-                    index: 1,
-                    similarity: -0.25,
-                },
-            ],
-            vec![],
-            vec![Neighbor {
-                index: 0,
-                similarity: 1.0,
-            }],
-        ];
-        let bytes = neighbors_to_bytes(&lists);
-        let back = neighbors_from_bytes(&bytes[..]).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[0][0].index, 3);
-        assert_eq!(back[0][1].similarity, -0.25);
-        assert!(back[1].is_empty());
-        for cut in 0..bytes.len() {
-            assert!(
-                neighbors_from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-    }
 
     #[test]
     #[should_panic(expected = "divide a day")]

@@ -48,6 +48,7 @@ pub mod shard;
 pub mod supervised;
 pub mod temporal;
 pub mod unsupervised;
+pub mod window;
 
 pub use cache::{ArtifactCache, CacheStats};
 pub use config::{DarkVecConfig, ServiceDef, SlidingWindow};

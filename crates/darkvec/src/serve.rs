@@ -5,23 +5,23 @@
 //!
 //! * **Ingest** — consumes micro-batches of packets from an
 //!   [`std::sync::mpsc`] channel, buffers the current capture day, and on
-//!   day rollover builds that day's corpus shard
-//!   ([`crate::corpus::build_day_corpus`], served from the
-//!   content-addressed [`ArtifactCache`] when available — the cache keys
-//!   are byte-compatible with the batch incremental runner, so a serve
-//!   daemon and a `darkvec incremental` run share artifacts). When enough
-//!   days exist it schedules a retrain of the trailing window.
+//!   day rollover builds that day's corpus shard through the window step
+//!   ([`crate::window`], served from the content-addressed
+//!   [`ArtifactCache`] when available). When enough days exist it
+//!   schedules a retrain of the trailing window.
 //! * **Trainer** — waits on a single-slot job queue (a slow train
-//!   *coalesces* rollovers instead of queueing them), trains warm-started
-//!   from the previous window's model like
-//!   [`crate::incremental::run_sliding`], then **atomically swaps** the
+//!   *coalesces* rollovers instead of queueing them), gets the window's
+//!   model from the window step's engine — cached, or warm-started from the
+//!   previous window's model, or cold — then **atomically swaps** the
 //!   new [`ServingModel`] in: the model is fully built — matrix
 //!   normalised, index constructed, labels and centroids attached,
 //!   checksum computed — *before* the swap, which is a single
 //!   `RwLock<Option<Arc<_>>>` store. Queries never observe a partial
 //!   model; each reply echoes the `(version, checksum)` pair of the model
 //!   that answered, and the daemon keeps a swap history so tests can
-//!   prove every reply came from a completely-swapped model.
+//!   prove every reply came from a completely-swapped model. The window
+//!   step is the one `darkvec incremental` drives, so either resumes
+//!   from the other's cache directory.
 //! * **Acceptor** — a non-blocking TCP accept loop (same poll pattern as
 //!   `darkvec_obs::serve::MetricsServer`); each connection gets a thread
 //!   speaking the length-prefixed [`crate::protocol`]. Malformed frames,
@@ -38,9 +38,8 @@
 
 // lint: relaxed-ok(request/fault/drop counters are metrics counters; daemon control flow uses SeqCst and lock acquisition for synchronization)
 
-use crate::cache::{hash_packets, ArtifactCache, KeyHasher};
+use crate::cache::{ArtifactCache, KeyHasher};
 use crate::config::DarkVecConfig;
-use crate::corpus::{build_day_corpus, corpus_from_bytes, corpus_stats, corpus_to_bytes};
 use crate::lineage::{ClusterObservation, LineageConfig, LineageTracker};
 use crate::pipeline::{resolve_services, TrainedModel};
 use crate::protocol::{
@@ -49,12 +48,12 @@ use crate::protocol::{
     MAX_NEIGHBORS,
 };
 use crate::services::{ServiceId, ServiceMap};
-use crate::unsupervised::{cluster_embedding, ClusterConfig};
+use crate::unsupervised::ClusterConfig;
+use crate::window::{self, day_key, Artifacts, WindowEngine};
 use darkvec_ml::ann::{NeighborBackend, NeighborIndex};
 use darkvec_ml::classifier::{loo_knn_classify, Label};
 use darkvec_ml::vectors::{normalize_vec, Matrix, NormalizedMatrix};
 use darkvec_types::{Ipv4, Packet, Protocol, Trace};
-use darkvec_w2v::{count_skipgrams, train_prepared};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -69,6 +68,8 @@ use std::time::{Duration, Instant};
 pub const LABEL_UNKNOWN: Label = 0;
 /// Label id for senders with a Mirai-fingerprinted probe in the window.
 pub const LABEL_MIRAI: Label = 1;
+/// k′ of the lineage clustering of each swapped-in model (the paper's pick).
+const LINEAGE_CLUSTER_K: usize = 3;
 
 /// Configuration of a serve daemon.
 #[derive(Clone, Debug)]
@@ -121,8 +122,7 @@ impl ServeConfig {
 /// One completed capture day, ready for window assembly.
 struct DayShard {
     day: u64,
-    /// Content-addressed corpus cache key (identical construction to the
-    /// batch incremental runner).
+    /// Content-addressed corpus cache key ([`window::day_key`]).
     day_key: u64,
     corpus: Vec<Vec<Ipv4>>,
     /// Senders seen with a Mirai fingerprint this day.
@@ -138,7 +138,6 @@ struct TrainJob {
     end_day: u64,
     shards: Vec<Arc<DayShard>>,
     services: Arc<ServiceMap>,
-    services_hash: u64,
 }
 
 /// A fully-built model being served. Everything a query needs is
@@ -397,15 +396,11 @@ impl Daemon {
     /// and acceptor threads, and returns the daemon plus the packet
     /// ingest channel. Dropping all senders ends the stream: the daemon
     /// finalises the partial day, trains a final model, and keeps
-    /// serving queries until shut down.
+    /// serving queries until shut down. A config that cannot run window
+    /// by window ([`window::check_windowed`]) is an `InvalidInput` error.
     pub fn start(cfg: ServeConfig) -> io::Result<(Daemon, SyncSender<Vec<Packet>>)> {
-        assert!(cfg.cfg.dt > 0, "dt must be positive");
-        assert!(
-            darkvec_types::DAY.is_multiple_of(cfg.cfg.dt),
-            "serve sharding needs dt to divide a day"
-        );
-        assert!(cfg.cfg.window.days > 0, "window.days must be positive");
-        assert!(cfg.cfg.window.stride > 0, "window.stride must be positive");
+        window::check_windowed(&cfg.cfg)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         assert!(cfg.k > 0, "default k must be positive");
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
@@ -560,17 +555,17 @@ impl Drop for Daemon {
 fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<ArtifactCache>) {
     let cfg = &shared.cfg;
     let fingerprint = cfg.cfg.fingerprint();
+    let artifacts = Artifacts {
+        cache: cache.as_ref(),
+        faults: &|what, detail| shared.fault(what, detail),
+    };
     let ingest_ns = darkvec_obs::metrics::histogram("serve.ingest_ns");
     let ingested = darkvec_obs::metrics::counter("serve.ingested");
 
-    let mut services: Option<(Arc<ServiceMap>, u64)> = match &cfg.cfg.service {
+    let mut services: Option<Arc<ServiceMap>> = match &cfg.cfg.service {
         // Auto services need traffic; resolved from the first complete day.
         crate::config::ServiceDef::Auto(_) => None,
-        def => {
-            let map = resolve_services(&Trace::default(), def);
-            let hash = crate::cache::fnv1a64(&map.to_bytes());
-            Some((Arc::new(map), hash))
-        }
+        def => Some(Arc::new(resolve_services(&Trace::default(), def))),
     };
     let mut shards: Vec<Arc<DayShard>> = Vec::new();
     let mut day_buf: Vec<Packet> = Vec::new();
@@ -580,44 +575,17 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
     let finalize_day = |day: u64,
                         buf: &mut Vec<Packet>,
                         shards: &mut Vec<Arc<DayShard>>,
-                        services: &mut Option<(Arc<ServiceMap>, u64)>| {
+                        services: &mut Option<Arc<ServiceMap>>| {
         if buf.is_empty() {
             return;
         }
         let day_trace = Trace::new(std::mem::take(buf));
-        let (svc, svc_hash) = services
-            .get_or_insert_with(|| {
-                let map = resolve_services(&day_trace, &cfg.cfg.service);
-                let hash = crate::cache::fnv1a64(&map.to_bytes());
-                (Arc::new(map), hash)
-            })
-            .clone();
-        let day_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("corpus")
-                .write_str(&fingerprint)
-                .write_u64(svc_hash)
-                .write_u64(day)
-                .write_u64(hash_packets(day_trace.day_slice(day)));
-            h.finish()
-        };
-        let corpus = cache
-            .as_ref()
-            .and_then(|c| c.load("corpus", day_key))
-            .and_then(|raw| match corpus_from_bytes(&raw[..]) {
-                Ok(corpus) => Some(corpus),
-                Err(e) => {
-                    shared.fault("corrupt cached corpus shard", &e);
-                    None
-                }
-            })
-            .unwrap_or_else(|| {
-                let built = build_day_corpus(&day_trace, day, &svc, cfg.cfg.dt);
-                if let Some(c) = cache {
-                    let _ = c.store("corpus", day_key, &corpus_to_bytes(&built));
-                }
-                built
-            });
+        let svc = Arc::clone(
+            services
+                .get_or_insert_with(|| Arc::new(resolve_services(&day_trace, &cfg.cfg.service))),
+        );
+        let day_key = day_key(&fingerprint, &svc, &day_trace, day);
+        let corpus = artifacts.day_corpus(day_key, &day_trace, day, &svc, cfg.cfg.dt);
         let mut mirai = HashSet::new();
         let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
         for p in day_trace.packets() {
@@ -643,14 +611,14 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
     };
 
     let schedule = |shards: &[Arc<DayShard>],
-                    services: &Option<(Arc<ServiceMap>, u64)>,
+                    services: &Option<Arc<ServiceMap>>,
                     window_days: u64,
                     last: &mut Option<(u64, u64)>| {
         let take = (window_days as usize).min(shards.len());
         if take == 0 {
             return;
         }
-        let Some((svc, svc_hash)) = services.clone() else {
+        let Some(svc) = services.clone() else {
             return;
         };
         let window: Vec<Arc<DayShard>> = shards[shards.len() - take..].to_vec();
@@ -664,7 +632,6 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
             end_day: bounds.1,
             shards: window,
             services: svc,
-            services_hash: svc_hash,
         };
         *shared.job_lock() = Some(job);
         shared.job_ready.notify_all();
@@ -729,16 +696,16 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
     }
 }
 
-/// The trainer thread: consumes the latest scheduled window, trains
-/// (cache-assisted, warm-started), and swaps the serving model.
+/// The trainer thread: consumes the latest scheduled window, gets its
+/// model from the window step (cached, warm-started or cold), and swaps
+/// the serving model.
 fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
     let cfg = &shared.cfg;
-    let fingerprint = cfg.cfg.fingerprint();
-    let config_hash = cfg.cfg.fingerprint_hash();
-    let mut train_cfg = cfg.cfg.w2v.clone();
-    train_cfg.min_count = cfg.cfg.min_packets.max(cfg.cfg.w2v.min_count);
-    train_cfg.threads = cfg.threads;
-    let mut prior: Option<(u64, TrainedModel)> = None;
+    let artifacts = Artifacts {
+        cache: cache.as_ref(),
+        faults: &|what, detail| shared.fault(what, detail),
+    };
+    let mut engine = WindowEngine::new(&cfg.cfg, cfg.warm_epochs, cfg.threads, artifacts);
     let mut version = 0u64;
     // Cluster lineage across retrains is trainer-local state: windows
     // arrive strictly in order here, which is the tracker's contract.
@@ -770,7 +737,6 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
         // `shard_threads` (bit-identical to a serial merge).
         let window: Vec<&[Vec<Ipv4>]> = job.shards.iter().map(|s| s.corpus.as_slice()).collect();
         let merged = crate::shard::merge_window(&window, cfg.shard_threads);
-        let corpus = &merged.corpus;
         let mut mirai: HashSet<Ipv4> = HashSet::new();
         let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
         for shard in &job.shards {
@@ -785,71 +751,10 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
                 }
             }
         }
-        // Model key: chained exactly like the incremental runner, so a
-        // serve daemon resumes from artifacts a batch run produced.
-        // Holding the warm-start prior as one `Option` binding (instead
-        // of a `warm` flag plus `prior.expect(..)`) keeps this path
-        // panic-free: there is no "warm implies prior" invariant to
-        // assert, the borrow *is* the invariant.
-        let warm_prior = if cfg.warm_epochs > 0 {
-            prior.as_ref()
-        } else {
-            None
-        };
-        let warm = warm_prior.is_some();
-        let model_key = {
-            let mut h = KeyHasher::new();
-            h.write_str("model")
-                .write_str(&fingerprint)
-                .write_u64(job.services_hash);
-            for shard in &job.shards {
-                h.write_u64(shard.day_key);
-            }
-            if let Some((prior_key, _)) = warm_prior {
-                h.write_str("warm")
-                    .write_u64(cfg.warm_epochs as u64)
-                    .write_u64(*prior_key);
-            } else {
-                h.write_str("cold");
-            }
-            h.finish()
-        };
-
-        let cached = cache
-            .as_ref()
-            .and_then(|c| c.load("model", model_key))
-            .and_then(|raw| match TrainedModel::from_bytes(&raw[..]) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    shared.fault("corrupt cached model artifact", &e);
-                    None
-                }
-            });
-        let from_cache = cached.is_some();
-        let trained = cached.unwrap_or_else(|| {
-            let stats = corpus_stats(corpus);
-            let skipgrams = count_skipgrams(corpus, cfg.cfg.w2v.window);
-            let vocab = merged.vocab(train_cfg.min_count);
-            let (embedding, train_stats) = if let Some((_, prior_model)) = warm_prior {
-                let mut warm_cfg = train_cfg.clone();
-                warm_cfg.epochs = cfg.warm_epochs;
-                train_prepared(corpus, &warm_cfg, vocab, Some(&prior_model.embedding))
-            } else {
-                train_prepared(corpus, &train_cfg, vocab, None)
-            };
-            let model = TrainedModel {
-                embedding,
-                services: (*job.services).clone(),
-                corpus: stats,
-                skipgrams,
-                train: train_stats,
-                config_hash,
-            };
-            if let Some(c) = cache {
-                let _ = c.store("model", model_key, &model.to_bytes());
-            }
-            model
-        });
+        let day_keys: Vec<u64> = job.shards.iter().map(|s| s.day_key).collect();
+        let step = engine.train(&merged, &job.services, &day_keys);
+        let source = step.source();
+        let trained = step.model;
 
         if trained.embedding.is_empty() {
             shared.fault(
@@ -909,21 +814,13 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
             job.start_day,
             job.end_day,
             n,
-            if from_cache {
-                "cached"
-            } else if warm {
-                "warm-trained"
-            } else {
-                "cold-trained"
-            },
+            source,
             started.elapsed().as_secs_f64()
         );
         // Lineage: match this window's clusters against the tracked
         // lineages and publish any novelty alerts before the daemon
         // reports itself idle again.
         lineage_step(shared, &mut lineage, &job, &serving, &mirai, &svc_counts);
-        let prior_model = serving.model.clone();
-        prior = Some((model_key, prior_model));
         shared.training.store(false, Ordering::SeqCst);
         darkvec_obs::metrics::record_sample();
     }
@@ -948,14 +845,17 @@ fn lineage_step(
 ) {
     let started = Instant::now();
     let cfg = &shared.cfg;
-    let clustering = cluster_embedding(
+    // No cached k′-NN lists: the served backend may be approximate, and
+    // the kNN cache key does not name the backend.
+    let clustering = window::cluster(
         &serving.model.embedding,
         &ClusterConfig {
-            k: 3,
+            k: LINEAGE_CLUSTER_K,
             seed: cfg.cfg.w2v.seed,
             threads: cfg.threads,
             backend: cfg.backend.clone(),
         },
+        None,
     );
     let dim = serving.normed.dim();
     let mut members: Vec<Vec<Ipv4>> = vec![Vec::new(); clustering.clusters];

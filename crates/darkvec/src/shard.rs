@@ -1,12 +1,12 @@
 //! Parallel shard-merge corpus build.
 //!
 //! The incremental pipeline and the serve daemon both assemble a window
-//! corpus out of per-day shards ([`build_day_corpus`]); at paper scale
+//! corpus out of per-day shards ([`crate::corpus::build_day_corpus`]); at paper scale
 //! (30 days × millions of packets) the serial day loop dominates every
 //! cold step. This module fans shard construction across worker threads
 //! and merges the results **deterministically**:
 //!
-//! * each worker builds (or loads from the [`ArtifactCache`]) whole day
+//! * each worker builds (or loads from the artifact cache) whole day
 //!   shards and counts its tokens locally — no shared mutable state;
 //! * the merged corpus is the day-order concatenation of the shard
 //!   corpora, which is sentence-for-sentence what the serial loop
@@ -20,19 +20,15 @@
 //! count (asserted by the tests below and gated in CI by `xp scale`),
 //! so `--shard-threads` is pure wall-clock and never enters cache keys.
 
-use crate::cache::ArtifactCache;
-use crate::corpus::{build_day_corpus, corpus_from_bytes, corpus_to_bytes};
-use crate::services::ServiceMap;
-use darkvec_types::{Ipv4, Trace};
+use darkvec_types::Ipv4;
 use darkvec_w2v::Vocab;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 /// One day's corpus plus its locally-counted vocabulary.
 #[derive(Clone, Debug)]
 pub struct CorpusShard {
-    /// Zero-based capture day.
-    pub day: u64,
-    /// The day's sentences, in [`build_day_corpus`] order.
+    /// The day's sentences, in [`crate::corpus::build_day_corpus`] order.
     pub corpus: Vec<Vec<Ipv4>>,
     /// Token occurrences within this shard.
     pub counts: HashMap<Ipv4, u64>,
@@ -87,35 +83,23 @@ fn resolve_threads(threads: usize, work: usize) -> usize {
     t.clamp(1, work.max(1))
 }
 
-/// Builds the day shards `first_day..=last_day` in parallel.
-///
-/// `keys[i]` is the cache key of day `first_day + i` (the same
-/// content-addressed construction the serial loop uses); with
-/// `cache: Some(..)` each worker loads hits and stores its freshly built
-/// shards. Results come back in day order, independent of `threads`.
-///
-/// # Panics
-/// Panics if `keys.len()` does not cover the day range, or as
-/// [`build_day_corpus`] does.
-#[allow(clippy::too_many_arguments)]
+/// Builds the shards of `days` in parallel, each from `day_corpus(day)`
+/// (e.g. [`crate::corpus::build_day_corpus`]), in day order for any
+/// `threads`.
 pub fn build_shards(
-    trace: &Trace,
-    first_day: u64,
-    last_day: u64,
-    keys: &[u64],
-    services: &ServiceMap,
-    dt: u64,
-    cache: Option<&ArtifactCache>,
+    days: Range<u64>,
     threads: usize,
+    day_corpus: impl Fn(u64) -> Vec<Vec<Ipv4>> + Sync,
 ) -> Vec<CorpusShard> {
-    let n_days = (last_day - first_day + 1) as usize;
-    assert_eq!(keys.len(), n_days, "one cache key per day");
+    let first_day = days.start;
+    let n_days = days.end.saturating_sub(first_day) as usize;
     let _span = darkvec_obs::span!("shard.build");
     let threads = resolve_threads(threads, n_days);
 
     let mut shards: Vec<Option<CorpusShard>> = vec![None; n_days];
-    let chunk = n_days.div_ceil(threads);
+    let chunk = n_days.div_ceil(threads).max(1);
     let ctx = darkvec_obs::span::context();
+    let day_corpus = &day_corpus;
     crossbeam::scope(|scope| {
         for (c, out) in shards.chunks_mut(chunk).enumerate() {
             let base = c * chunk;
@@ -123,23 +107,9 @@ pub fn build_shards(
                 let _worker = darkvec_obs::span!("shard.build.worker", ctx);
                 for (off, slot) in out.iter_mut().enumerate() {
                     let day = first_day + (base + off) as u64;
-                    let key = keys[base + off];
-                    let corpus = cache
-                        .and_then(|c| c.load("corpus", key))
-                        .and_then(|raw| corpus_from_bytes(&raw[..]).ok())
-                        .unwrap_or_else(|| {
-                            let built = build_day_corpus(trace, day, services, dt);
-                            if let Some(c) = cache {
-                                let _ = c.store("corpus", key, &corpus_to_bytes(&built));
-                            }
-                            built
-                        });
+                    let corpus = day_corpus(day);
                     let counts = count_tokens(&corpus);
-                    *slot = Some(CorpusShard {
-                        day,
-                        corpus,
-                        counts,
-                    });
+                    *slot = Some(CorpusShard { corpus, counts });
                 }
             });
         }
@@ -176,39 +146,18 @@ pub fn merge_shards(shards: Vec<CorpusShard>) -> MergedCorpus {
 /// counted in parallel per shard, then concatenated in the order given.
 pub fn merge_window(shard_corpora: &[&[Vec<Ipv4>]], threads: usize) -> MergedCorpus {
     let _span = darkvec_obs::span!("shard.merge_window");
-    let threads = resolve_threads(threads, shard_corpora.len());
-    let mut built: Vec<Option<CorpusShard>> = vec![None; shard_corpora.len()];
-    let chunk = shard_corpora.len().div_ceil(threads).max(1);
-    crossbeam::scope(|scope| {
-        for (c, out) in built.chunks_mut(chunk).enumerate() {
-            let base = c * chunk;
-            scope.spawn(move |_| {
-                for (off, slot) in out.iter_mut().enumerate() {
-                    let corpus = shard_corpora[base + off].to_vec();
-                    let counts = count_tokens(&corpus);
-                    *slot = Some(CorpusShard {
-                        day: (base + off) as u64,
-                        corpus,
-                        counts,
-                    });
-                }
-            });
-        }
-    })
-    .expect("window merge worker panicked");
-    merge_shards(
-        built
-            .into_iter()
-            .map(|s| s.expect("every shard slot is filled"))
-            .collect(),
-    )
+    let n = shard_corpora.len() as u64;
+    merge_shards(build_shards(0..n, threads, |i| {
+        shard_corpora[i as usize].to_vec()
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::build_corpus;
-    use darkvec_types::{Packet, Protocol, Timestamp, DAY, HOUR};
+    use crate::corpus::{build_corpus, build_day_corpus};
+    use crate::services::ServiceMap;
+    use darkvec_types::{Packet, Protocol, Timestamp, Trace, DAY, HOUR};
 
     fn ip(d: u8) -> Ipv4 {
         Ipv4::new(10, 0, 0, d)
@@ -234,11 +183,7 @@ mod tests {
             .map(|day| {
                 let corpus = build_day_corpus(trace, day, services, HOUR);
                 let counts = count_tokens(&corpus);
-                CorpusShard {
-                    day,
-                    corpus,
-                    counts,
-                }
+                CorpusShard { corpus, counts }
             })
             .collect()
     }
@@ -247,19 +192,11 @@ mod tests {
     fn parallel_build_is_bit_identical_to_serial_for_any_thread_count() {
         let trace = multi_day_trace();
         let services = ServiceMap::domain_knowledge();
-        let keys: Vec<u64> = (0..trace.days()).collect();
         let serial = merge_shards(serial_shards(&trace, &services));
         for threads in [1, 2, 3, 8, 0] {
-            let shards = build_shards(
-                &trace,
-                0,
-                trace.days() - 1,
-                &keys,
-                &services,
-                HOUR,
-                None,
-                threads,
-            );
+            let shards = build_shards(0..trace.days(), threads, |d| {
+                build_day_corpus(&trace, d, &services, HOUR)
+            });
             let merged = merge_shards(shards);
             assert_eq!(merged.corpus, serial.corpus, "threads={threads}");
             assert_eq!(merged.counts, serial.counts, "threads={threads}");
@@ -270,8 +207,9 @@ mod tests {
     fn merged_corpus_equals_one_shot_build() {
         let trace = multi_day_trace();
         let services = ServiceMap::domain_knowledge();
-        let keys: Vec<u64> = (0..trace.days()).collect();
-        let shards = build_shards(&trace, 0, trace.days() - 1, &keys, &services, HOUR, None, 4);
+        let shards = build_shards(0..trace.days(), 4, |d| {
+            build_day_corpus(&trace, d, &services, HOUR)
+        });
         let merged = merge_shards(shards);
         assert_eq!(merged.corpus, build_corpus(&trace, &services, HOUR));
     }
@@ -280,17 +218,9 @@ mod tests {
     fn merged_vocab_matches_vocab_build_exactly() {
         let trace = multi_day_trace();
         let services = ServiceMap::domain_knowledge();
-        let keys: Vec<u64> = (0..trace.days()).collect();
-        let merged = merge_shards(build_shards(
-            &trace,
-            0,
-            trace.days() - 1,
-            &keys,
-            &services,
-            HOUR,
-            None,
-            0,
-        ));
+        let merged = merge_shards(build_shards(0..trace.days(), 0, |d| {
+            build_day_corpus(&trace, d, &services, HOUR)
+        }));
         for min_count in [1, 2, 10] {
             let from_merge = merged.vocab(min_count);
             let from_build = Vocab::build(merged.corpus.iter().map(|s| s.iter()), min_count);
@@ -313,45 +243,12 @@ mod tests {
     }
 
     #[test]
-    fn shards_round_trip_through_the_cache() {
-        let dir = std::env::temp_dir().join(format!("darkvec-shard-test-{}", std::process::id()));
-        let cache = ArtifactCache::new(&dir).unwrap();
-        let trace = multi_day_trace();
-        let services = ServiceMap::single();
-        let keys: Vec<u64> = (100..100 + trace.days()).collect();
-        let cold = build_shards(
-            &trace,
-            0,
-            trace.days() - 1,
-            &keys,
-            &services,
-            HOUR,
-            Some(&cache),
-            4,
-        );
-        let warm = build_shards(
-            &trace,
-            0,
-            trace.days() - 1,
-            &keys,
-            &services,
-            HOUR,
-            Some(&cache),
-            2,
-        );
-        assert_eq!(
-            merge_shards(cold).corpus,
-            merge_shards(warm).corpus,
-            "cache round trip must not change the corpus"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn empty_ranges_and_empty_days() {
         // A trace with one day of traffic queried over that single day.
         let trace = Trace::new(vec![Packet::new(Timestamp(10), ip(1), 23, Protocol::Tcp)]);
-        let shards = build_shards(&trace, 0, 0, &[7], &ServiceMap::single(), HOUR, None, 8);
+        let shards = build_shards(0..1, 8, |d| {
+            build_day_corpus(&trace, d, &ServiceMap::single(), HOUR)
+        });
         assert_eq!(shards.len(), 1);
         let merged = merge_shards(shards);
         assert_eq!(merged.corpus, vec![vec![ip(1)]]);

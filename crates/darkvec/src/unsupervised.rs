@@ -3,11 +3,14 @@
 //! silhouettes.
 
 use darkvec_graph::components::connected_components;
-use darkvec_graph::knn_graph::{build_knn_graph_normalized, KnnGraphConfig};
+use darkvec_graph::knn_graph::{
+    build_knn_graph_normalized, knn_graph_from_neighbors, KnnGraphConfig,
+};
 use darkvec_graph::louvain::louvain;
 use darkvec_graph::silhouette::cluster_silhouettes_normalized;
-use darkvec_ml::ann::NeighborBackend;
-use darkvec_ml::vectors::Matrix;
+use darkvec_ml::ann::{knn_all_with, NeighborBackend};
+use darkvec_ml::knn::Neighbor;
+use darkvec_ml::vectors::{Matrix, NormalizedMatrix};
 use darkvec_types::Ipv4;
 use darkvec_w2v::Embedding;
 use std::collections::HashMap;
@@ -104,18 +107,35 @@ impl Clustering {
 /// # Panics
 /// Panics if the embedding is empty.
 pub fn cluster_embedding(embedding: &Embedding<Ipv4>, cfg: &ClusterConfig) -> Clustering {
+    cluster_embedding_with(embedding, cfg, |normed| {
+        knn_all_with(normed, cfg.k.max(1), cfg.threads, &cfg.backend)
+    })
+}
+
+/// [`cluster_embedding`] with row u's k′ neighbours at `neighbors(m)[u]`
+/// for the row-normalised embedding `m` (the window step serves them from
+/// its artifact cache). Panics as [`cluster_embedding`] does, and on an
+/// out-of-range neighbour index.
+pub(crate) fn cluster_embedding_with(
+    embedding: &Embedding<Ipv4>,
+    cfg: &ClusterConfig,
+    neighbors: impl FnOnce(&NormalizedMatrix) -> Vec<Vec<Neighbor>>,
+) -> Clustering {
     assert!(!embedding.is_empty(), "cannot cluster an empty embedding");
     // One normalised copy feeds both the graph build and the silhouettes.
     let normed = Matrix::new(embedding.vectors(), embedding.len(), embedding.dim()).normalized();
-    let graph = build_knn_graph_normalized(
-        &normed,
-        &KnnGraphConfig {
-            k: cfg.k,
-            threads: cfg.threads,
-            mutual: false,
-            backend: cfg.backend.clone(),
-        },
-    );
+    let graph = {
+        let _span = darkvec_obs::span!("graph.knn_build");
+        knn_graph_from_neighbors(
+            normed.rows(),
+            &neighbors(&normed),
+            // The edge accumulation reads only `k` and `mutual`.
+            &KnnGraphConfig {
+                k: cfg.k,
+                ..KnnGraphConfig::default()
+            },
+        )
+    };
     let partition = louvain(&graph, cfg.seed);
     let assignment = canonical_assignment(embedding, &partition.assignment, partition.communities);
     let silhouettes = cluster_silhouettes_normalized(&normed, &assignment);

@@ -92,6 +92,7 @@ impl LintConfig {
                 "crates/darkvec/src/serve.rs".into(),
                 "crates/darkvec/src/protocol.rs".into(),
                 "crates/darkvec/src/cache.rs".into(),
+                "crates/darkvec/src/window.rs".into(),
                 "crates/obs/src/serve.rs".into(),
             ],
             determinism_modules: vec![
@@ -100,6 +101,7 @@ impl LintConfig {
                 "crates/darkvec/src/shard.rs".into(),
                 "crates/darkvec/src/protocol.rs".into(),
                 "crates/darkvec/src/serve.rs".into(),
+                "crates/darkvec/src/window.rs".into(),
                 "crates/obs/src/manifest.rs".into(),
             ],
             cast_modules: vec!["crates/darkvec/src/protocol.rs".into()],

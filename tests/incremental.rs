@@ -280,3 +280,113 @@ fn warm_start_resumes_evicts_and_keys_chain() {
         }
     }
 }
+
+/// A corrupt cached k′-NN list — here a neighbour index past the last
+/// row — is rebuilt and stored again instead of reaching the graph build,
+/// which would panic on the out-of-range node.
+#[test]
+fn corrupt_cached_knn_lists_are_rebuilt() {
+    let sim = simulate(&SimConfig::tiny(SEED));
+    let mut cfg = test_cfg();
+    cfg.window = SlidingWindow { days: 4, stride: 2 };
+    let opts = IncrementalOptions {
+        warm_epochs: 2,
+        cluster_k: Some(3),
+        shard_threads: 0,
+    };
+    let dir = cache_dir("knn-flip");
+    let first = run_sliding(
+        &sim.trace,
+        &cfg,
+        &opts,
+        Some(&ArtifactCache::new(&dir).unwrap()),
+    );
+
+    // A list starts with its row count and row 0's length; the first
+    // neighbour index follows at byte 8.
+    let mut originals = Vec::new();
+    for entry in std::fs::read_dir(dir.join("knn")).unwrap() {
+        let path = entry.unwrap().path();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut flipped = bytes.clone();
+        flipped[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &flipped).unwrap();
+        originals.push((path, bytes));
+    }
+    assert!(!originals.is_empty(), "the first run cached no kNN lists");
+
+    let rerun = run_sliding(
+        &sim.trace,
+        &cfg,
+        &opts,
+        Some(&ArtifactCache::new(&dir).unwrap()),
+    );
+    assert_eq!(first.len(), rerun.len());
+    for (a, b) in first.iter().zip(&rerun) {
+        assert!(b.from_cache);
+        assert_eq!(
+            a.clustering.as_ref().map(|c| &c.assignment),
+            b.clustering.as_ref().map(|c| &c.assignment)
+        );
+    }
+    for (path, bytes) in originals {
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "{} was not stored again",
+            path.display()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An empty model never becomes a warm-start prior: the window after an
+/// empty window trains cold (a "warm" start from an empty model would be
+/// a random init trained for only `warm_epochs`), and the window after
+/// that warm-starts from the cold model.
+#[test]
+fn window_after_an_empty_window_trains_cold() {
+    use darkvec_types::{Ipv4, Packet, Protocol, Timestamp, Trace, DAY};
+    // Day 0: 30 senders with one packet each, all below `min_packets`.
+    let mut packets: Vec<Packet> = (0..30u8)
+        .map(|i| {
+            Packet::new(
+                Timestamp(i as u64 * 600),
+                Ipv4::new(10, 1, 0, i),
+                23,
+                Protocol::Tcp,
+            )
+        })
+        .collect();
+    // Days 1–2: 12 senders with 20 packets each.
+    for day in 1..3u64 {
+        for i in 0..12u8 {
+            for rep in 0..20u64 {
+                packets.push(Packet::new(
+                    Timestamp(day * DAY + rep * 1800 + i as u64),
+                    Ipv4::new(10, 0, 0, i),
+                    23,
+                    Protocol::Tcp,
+                ));
+            }
+        }
+    }
+    let trace = Trace::new(packets);
+    let mut cfg = test_cfg();
+    cfg.min_packets = 3;
+    cfg.window = SlidingWindow { days: 1, stride: 1 };
+    let opts = IncrementalOptions {
+        warm_epochs: 2,
+        cluster_k: None,
+        shard_threads: 0,
+    };
+    let steps = run_sliding(&trace, &cfg, &opts, None);
+    assert_eq!(steps.len(), 3);
+    assert!(steps[0].model.embedding.is_empty(), "day 0 is all sporadic");
+    assert!(!steps[1].warm, "warm-started from an empty model");
+    assert!(!steps[1].model.embedding.is_empty());
+    assert!(
+        steps[2].warm,
+        "the chain did not resume after the empty window"
+    );
+}

@@ -572,3 +572,79 @@ fn novel_group_raises_a_wire_alert_after_baseline() {
     let status = client.status().unwrap();
     assert_eq!((status.window_start, status.window_end), (2, 3));
 }
+
+/// Cache keys are shared with the batch runner: a daemon started on the
+/// artifact directory of a `run_sliding` run serves every window from it
+/// (day-corpus and model keys match byte for byte, the warm chain
+/// included), writes nothing, and ends on the batch run's last embedding.
+#[test]
+fn daemon_resumes_from_a_batch_runs_artifact_directory() {
+    use darkvec::cache::ArtifactCache;
+    use darkvec::incremental::{run_sliding, IncrementalOptions};
+    let cache_dir =
+        std::env::temp_dir().join(format!("darkvec-serve-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let trace = fixture_trace(5, 29);
+    let opts = IncrementalOptions {
+        warm_epochs: 2,
+        cluster_k: None,
+        shard_threads: 0,
+    };
+    let cache = ArtifactCache::new(&cache_dir).unwrap();
+    let steps = run_sliding(&trace, &tiny_cfg(), &opts, Some(&cache));
+    assert_eq!(steps.len(), 4);
+
+    // Every artifact with its modification time: a store renames a new
+    // file into place, so a rewritten artifact shows even with the same
+    // name and bytes.
+    let listing = || {
+        let mut files = Vec::new();
+        for kind in ["model", "corpus"] {
+            for entry in std::fs::read_dir(cache_dir.join(kind)).unwrap() {
+                let entry = entry.unwrap();
+                let modified = entry.metadata().unwrap().modified().unwrap();
+                files.push((format!("{kind}/{:?}", entry.file_name()), modified));
+            }
+        }
+        files.sort();
+        files
+    };
+    let before = listing();
+
+    let mut cfg = tiny_serve_cfg();
+    cfg.cache_dir = Some(cache_dir.clone());
+    cfg.warm_epochs = opts.warm_epochs;
+    let (daemon, tx) = start(cfg);
+    // One day at a time: the first packet of `day` seals `day - 1`, and
+    // the daemon swaps that window in before the rest of `day` arrives,
+    // so no retrain coalesces.
+    tx.send(trace.day_slice(0).to_vec()).unwrap();
+    for day in 1..trace.days() {
+        let packets = trace.day_slice(day);
+        tx.send(packets[..1].to_vec()).unwrap();
+        if day >= 2 {
+            assert!(daemon.wait_version(day - 1, Duration::from_secs(120)));
+        }
+        tx.send(packets[1..].to_vec()).unwrap();
+    }
+    drop(tx);
+    settle(&daemon);
+
+    let swapped: Vec<(u64, u64)> = daemon.swap_history().iter().map(|s| s.window).collect();
+    let batch: Vec<(u64, u64)> = steps.iter().map(|s| (s.start_day, s.end_day)).collect();
+    assert_eq!(swapped, batch);
+    assert_eq!(
+        listing(),
+        before,
+        "the daemon wrote model or corpus artifacts"
+    );
+    assert_eq!(daemon.stats().errors, 0);
+    let last = daemon.current_model().expect("model live");
+    assert_eq!(
+        last.model.embedding.vectors(),
+        steps[3].model.embedding.vectors(),
+        "the daemon's last model differs from the batch run's"
+    );
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
