@@ -176,6 +176,7 @@ fn write_bench(ctx: &Ctx, path: &std::path::Path, metric: &str, scalar: &Sample,
     let json = Json::obj()
         .with("metric", metric)
         .with("smoke", ctx.smoke)
+        .with("host", super::host_json())
         .with("reps_best_of", if ctx.smoke { 1.0 } else { 3.0 })
         .with("items_per_rep", scalar.items as f64)
         .with(
@@ -268,6 +269,7 @@ mod tests {
             let raw = std::fs::read_to_string(ctx.out_dir.join(name)).unwrap();
             assert!(raw.contains("\"speedup\""), "{name}: {raw}");
             assert!(raw.contains("\"smoke\": true"), "{name}");
+            assert!(raw.contains("\"host\""), "{name}: {raw}");
         }
         // The experiment must not leave a forced path behind: Scalar is
         // never auto-selected, so seeing it here means the guard failed.

@@ -86,7 +86,10 @@ fn dot_matches_scalar_on_every_path() {
 const ROW_DIMS: &[usize] = &[1, 7, 8, 9, 15, 16, 17, 31, 48, 50, 63, 64, 65, 257];
 
 /// Asserts `dot_rows_on(p, q, rows)[r]` has the bits of
-/// `dot_on(p, q, row r)` for every row and every available path.
+/// `dot_on(p, q, row r)` — and of `dot_on(p, row r, q)`, the operands
+/// swapped — for every row and every available path. The swap half is
+/// what lets the all-rows kNN scan score each pair once and hand the
+/// score to both rows.
 fn assert_dot_rows_bit_identical(q: &[f32], rows: &[f32], what: &str) {
     let d = q.len();
     let n = rows.len() / d;
@@ -94,11 +97,18 @@ fn assert_dot_rows_bit_identical(q: &[f32], rows: &[f32], what: &str) {
         let mut got = vec![f32::INFINITY; n];
         dot_rows_on(path, q, rows, &mut got);
         for (r, g) in got.iter().enumerate() {
-            let want = dot_on(path, q, &rows[r * d..(r + 1) * d]);
+            let row = &rows[r * d..(r + 1) * d];
+            let want = dot_on(path, q, row);
             assert_eq!(
                 g.to_bits(),
                 want.to_bits(),
                 "dot_rows {what} row {r} {path:?}: got {g}, want {want}"
+            );
+            let swapped = dot_on(path, row, q);
+            assert_eq!(
+                g.to_bits(),
+                swapped.to_bits(),
+                "dot_rows {what} row {r} {path:?}: got {g}, swapped dot {swapped}"
             );
         }
     }
@@ -125,8 +135,9 @@ fn dot_rows_matches_dot_bit_exactly_on_every_path() {
     }
 }
 
-/// Zero rows, signed zeros and a NaN element keep the bit contract: a
-/// signed-zero sum or a propagated NaN has the same bits `dot` gives.
+/// Zero rows, signed zeros, NaN elements and an all-NaN row keep the bit
+/// contract, operands swapped too: a signed-zero sum or a propagated NaN
+/// has the same bits `dot` gives.
 #[test]
 fn dot_rows_special_values_match_dot() {
     let mut rng = Rng(100);
@@ -139,6 +150,7 @@ fn dot_rows_special_values_match_dot() {
             *x = if i % 2 == 0 { -0.0 } else { 0.0 };
         }
         rows[5 * dim + dim / 2] = f32::NAN;
+        rows[7 * dim..8 * dim].fill(f32::NAN);
         rows[8 * dim] = f32::NAN;
         assert_dot_rows_bit_identical(&q, &rows, &format!("special dim={dim}"));
         // An all-negative-zero query makes every product a signed zero.

@@ -3,24 +3,54 @@
 //! DarkVec's embeddings have 10^4–10^5 rows of 50 dimensions, where exact
 //! brute force (normalise once, then dot products) is both simple and fast —
 //! a few hundred million fused multiply-adds, spread over cores with
-//! crossbeam scoped threads (a search that would get one chunk runs
-//! inline and spawns nothing).
+//! crossbeam scoped threads (a search that would get one chunk or band
+//! runs inline and spawns nothing).
 //!
-//! The scan is cache-blocked: queries advance in blocks of
-//! [`QUERY_BLOCK`] over candidate tiles of [`TILE_ROWS`] rows, so each
-//! ~50 KB tile is read from memory once per query block instead of once
-//! per query. Per query and tile, one [`dot_rows`] call fills a stack
-//! buffer with the query's similarity to every row of the tile — the
-//! same bits a per-pair `dot` gives. The buffer is then walked in
-//! ascending row order against a running threshold, the query's current
-//! k-th best similarity: a score that is not above it is dropped without
-//! touching the list, which is [`insert_bounded`]'s own first test done
-//! early. Tiles and rows are visited in ascending index order — the exact
-//! candidate order of a row-at-a-time scan — so results (including
-//! tie-breaking and NaN handling) are identical to the unblocked form.
+//! **All rows against each other ([`knn_all_normalized`]).** Cosine
+//! similarity is symmetric, so the scan computes each pair's score once,
+//! over the upper triangle of the Gram matrix. Tile pairs (I, J ≥ I) of
+//! [`TILE_ROWS`] rows are visited I-major; per row `a` of tile I, one
+//! [`dot_rows`] call scores `a` against tile J (on the diagonal tile, only
+//! the rows after `a`). Each score is offered twice: to `a`'s list with
+//! candidate `b`, and to `b`'s list with candidate `a`. `dot` has the same
+//! bits with its operands swapped, so the score `b` receives is the one a
+//! scan from `b` would compute, and in this order every row meets its
+//! candidates in ascending index order: the earlier rows first (column
+//! side), then the later ones (row side). One pass over the triangle
+//! therefore builds exactly the lists of a row-at-a-time ascending scan,
+//! ties and NaN included. A per-row threshold array (the list's k-th
+//! similarity, NaN until it is full) keeps the column-side test off the
+//! lists themselves.
+//!
+//! Threads take contiguous bands of tile rows with about equal tile-pair
+//! counts (tile I pairs with `tiles − I` tiles). Each band fills private
+//! lists for the rows it can reach — those from its first tile on — and
+//! the bands are merged into the first band's lists in band order with
+//! [`insert_bounded`]. A later band's candidates for a row all have higher
+//! indices than an earlier band's, and without NaN [`insert_bounded`]
+//! keeps the top k by (similarity descending, index ascending) in any
+//! arrival order, so the merge is exact. NaN scores break that order:
+//! every NaN reaches [`insert_bounded`] (nothing compares `<=` NaN), a
+//! band records it there, and if any band saw one the matrix is rescanned
+//! as a single band.
+//!
+//! **External queries ([`knn_batch`], [`knn_query_normalized`]).** The
+//! scan is cache-blocked: queries advance in blocks of [`QUERY_BLOCK`]
+//! over candidate tiles of [`TILE_ROWS`] rows, so each ~50 KB tile is read
+//! from memory once per query block instead of once per query. Per query
+//! and tile, one [`dot_rows`] call fills a stack buffer with the query's
+//! similarity to every row of the tile — the same bits a per-pair `dot`
+//! gives. The buffer is then walked in ascending row order against a
+//! running threshold, the query's current k-th best similarity: a score
+//! that is not above it is dropped without touching the list, which is
+//! [`insert_bounded`]'s own first test done early. Tiles and rows are
+//! visited in ascending index order — the exact candidate order of a
+//! row-at-a-time scan — so results (including tie-breaking and NaN
+//! handling) are identical to the unblocked form.
 
 use crate::vectors::{normalize_vec, Matrix, NormalizedMatrix};
 use darkvec_kernels::dot_rows;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Candidate rows per cache tile (× 50 dims × 4 bytes ≈ 50 KB, sized for
@@ -70,15 +100,161 @@ pub fn knn_all_normalized(
     }
     darkvec_obs::metrics::counter("ml.knn.queries").add(n as u64);
     let start = Instant::now();
-    let dim = normed.dim();
-    let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
-    for_each_chunk(&mut results, threads, |base, out| {
-        let queries = &normed.data()[base * dim..(base + out.len()) * dim];
-        scan_tiled(normed, queries, Some(base), out, k);
-    });
+    let tiles = n.div_ceil(TILE_ROWS);
+    let bands = band_ranges(tiles, worker_count(threads).min(tiles));
+    let results = if bands.len() == 1 {
+        scan_band(normed, k, 0..tiles).lists
+    } else {
+        let ctx = darkvec_obs::span::context();
+        let partial: Vec<Band> = crossbeam::scope(|scope| {
+            let workers: Vec<_> = bands
+                .into_iter()
+                .map(|tiles| {
+                    scope.spawn(move |_| {
+                        let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
+                        scan_band(normed, k, tiles)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("knn worker panicked"))
+                .collect()
+        })
+        .expect("knn worker panicked");
+        if partial.iter().any(|band| band.saw_nan) {
+            scan_band(normed, k, 0..tiles).lists
+        } else {
+            merge_bands(partial, k)
+        }
+    };
+    // Every row's list is built across the whole scan, so each row is
+    // charged the scan's wall time spread evenly: one sample per row keeps
+    // the sample count equal to `ml.knn.queries`.
+    let elapsed = start.elapsed();
+    let per_row_ns = (elapsed.as_nanos() / n as u128)
+        .try_into()
+        .unwrap_or(u64::MAX);
+    let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
+    for _ in 0..n {
+        query_latency.record(per_row_ns);
+    }
     darkvec_obs::metrics::gauge("ml.knn.rows_per_sec")
-        .set(n as f64 / start.elapsed().as_secs_f64().max(1e-9));
+        .set(n as f64 / elapsed.as_secs_f64().max(1e-9));
     results
+}
+
+/// One band's share of the all-rows scan: the lists of rows
+/// `first_row..n` over the candidates its tile pairs offered, and whether
+/// any of its scores was NaN.
+struct Band {
+    first_row: usize,
+    lists: Vec<Vec<Neighbor>>,
+    saw_nan: bool,
+}
+
+/// Splits tiles `0..tiles` into `bands` (≤ `tiles`) non-empty contiguous
+/// ranges of about equal work: tile I pairs with tiles I.., so it costs
+/// `tiles − I` tile pairs. Band c closes at the first tile where the work
+/// so far reaches c shares. The last `bands − c` tiles are the cheapest,
+/// at most a `(bands − c) / tiles` ≤ `(bands − c) / bands` part of the
+/// work, so that happens early enough to leave every later band a tile.
+fn band_ranges(tiles: usize, bands: usize) -> Vec<Range<usize>> {
+    let total = tiles * (tiles + 1) / 2;
+    let mut ranges = Vec::with_capacity(bands);
+    let (mut start, mut done) = (0, 0);
+    for tile in 0..tiles {
+        done += tiles - tile;
+        let closed = ranges.len() + 1;
+        if closed < bands && done * bands >= closed * total {
+            ranges.push(start..tile + 1);
+            start = tile + 1;
+        }
+    }
+    ranges.push(start..tiles);
+    ranges
+}
+
+/// Scans the tile pairs (I, J ≥ I) for I in `band`, offering each score
+/// to both rows' lists (see the module docs).
+fn scan_band(normed: &NormalizedMatrix, k: usize, band: Range<usize>) -> Band {
+    let n = normed.rows();
+    let dim = normed.dim();
+    let first_row = band.start * TILE_ROWS;
+    let mut lists: Vec<Vec<Neighbor>> = vec![Vec::new(); n - first_row];
+    // `threshold` of every reachable row's list, kept dense for the
+    // column-side test.
+    let mut thresholds = vec![f32::NAN; n - first_row];
+    let mut saw_nan = false;
+    let mut scores = [0.0f32; TILE_ROWS];
+    for tile_i in band {
+        let rows_i = tile_i * TILE_ROWS..((tile_i + 1) * TILE_ROWS).min(n);
+        for tile_start in (rows_i.start..n).step_by(TILE_ROWS) {
+            let tile_end = (tile_start + TILE_ROWS).min(n);
+            for a in rows_i.clone() {
+                // On the diagonal tile, only the rows after `a`.
+                let first_b = tile_start.max(a + 1);
+                let scores = &mut scores[..tile_end - first_b];
+                dot_rows(
+                    normed.row(a),
+                    &normed.data()[first_b * dim..tile_end * dim],
+                    scores,
+                );
+                // Row a is before every b, so its list and the tile's
+                // lists are disjoint.
+                let (before, after) = lists.split_at_mut(first_b - first_row);
+                let (thr_before, thr_after) = thresholds.split_at_mut(first_b - first_row);
+                let best_a = &mut before[a - first_row];
+                let mut thr_a = thr_before[a - first_row];
+                for (r, &s) in scores.iter().enumerate() {
+                    if s <= thr_a {
+                        continue;
+                    }
+                    insert_bounded(best_a, k, first_b + r, s);
+                    thr_a = threshold(best_a, k);
+                }
+                thr_before[a - first_row] = thr_a;
+                for ((&s, thr_b), best_b) in scores.iter().zip(thr_after).zip(after) {
+                    if s <= *thr_b {
+                        continue;
+                    }
+                    saw_nan |= s.is_nan();
+                    insert_bounded(best_b, k, a, s);
+                    *thr_b = threshold(best_b, k);
+                }
+            }
+        }
+    }
+    Band {
+        first_row,
+        lists,
+        saw_nan,
+    }
+}
+
+/// Folds every later band's lists into the first band's, in band order.
+fn merge_bands(bands: Vec<Band>, k: usize) -> Vec<Vec<Neighbor>> {
+    let mut bands = bands.into_iter();
+    let mut merged = bands.next().expect("at least one band").lists;
+    for band in bands {
+        for (best, found) in merged[band.first_row..].iter_mut().zip(band.lists) {
+            for nb in found {
+                insert_bounded(best, k, nb.index, nb.similarity);
+            }
+        }
+    }
+    merged
+}
+
+/// Worker threads for a search: `threads`, or one per core when 0.
+fn worker_count(threads: usize) -> usize {
+    if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|t| t.get())
+            .unwrap_or(1)
+    }
 }
 
 /// Splits `results` into one contiguous chunk per worker (`threads = 0`:
@@ -91,14 +267,7 @@ fn for_each_chunk<F>(results: &mut [Vec<Neighbor>], threads: usize, scan: F)
 where
     F: Fn(usize, &mut [Vec<Neighbor>]) + Sync,
 {
-    let threads = if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    }
-    .min(results.len());
+    let threads = worker_count(threads).min(results.len());
     if threads <= 1 {
         scan(0, results);
         return;
@@ -117,17 +286,10 @@ where
     .expect("knn worker panicked");
 }
 
-/// The shared cache-blocked scan: for each `dim`-sized row of `queries`
-/// (already unit-norm), the `k` most similar rows of `normed`. When the
-/// queries are themselves rows of `normed` starting at `exclude_base`,
-/// passing `Some(exclude_base)` skips each query's own row.
-fn scan_tiled(
-    normed: &NormalizedMatrix,
-    queries: &[f32],
-    exclude_base: Option<usize>,
-    out: &mut [Vec<Neighbor>],
-    k: usize,
-) {
+/// The cache-blocked scan of external queries: for each `dim`-sized row
+/// of `queries` (already unit-norm), the `k` most similar rows of
+/// `normed`.
+fn scan_tiled(normed: &NormalizedMatrix, queries: &[f32], out: &mut [Vec<Neighbor>], k: usize) {
     let n = normed.rows();
     let dim = normed.dim();
     debug_assert_eq!(queries.len(), out.len() * dim);
@@ -142,11 +304,10 @@ fn scan_tiled(
             let scores = &mut scores[..tile_end - tile_start];
             for (off, best) in block.iter_mut().enumerate() {
                 let qi = qbase + off;
-                let skip = exclude_base.map(|base| base + qi).unwrap_or(usize::MAX);
                 dot_rows(&queries[qi * dim..(qi + 1) * dim], tile, scores);
                 let mut thr = threshold(best, k);
                 for (r, &s) in scores.iter().enumerate() {
-                    if s <= thr || tile_start + r == skip {
+                    if s <= thr {
                         continue;
                     }
                     insert_bounded(best, k, tile_start + r, s);
@@ -213,7 +374,7 @@ pub fn knn_query_normalized(normed: &NormalizedMatrix, query: &[f32], k: usize) 
     let mut q = query.to_vec();
     normalize_vec(&mut q);
     let mut best = vec![Vec::with_capacity(k + 1)];
-    scan_tiled(normed, &q, None, &mut best, k);
+    scan_tiled(normed, &q, &mut best, k);
     best.pop().expect("one query in, one result out")
 }
 
@@ -223,8 +384,8 @@ pub fn knn_query_normalized(normed: &NormalizedMatrix, query: &[f32], k: usize) 
 /// L2-normalised internally; zero queries return neighbours with
 /// similarity 0, tie-broken by ascending row index.
 ///
-/// Uses the same cache-blocked tiled scan as [`knn_all_normalized`], with
-/// query chunks spread over `threads` (0 = one per core) — the batch
+/// Uses the same cache-blocked tiled scan as [`knn_query_normalized`],
+/// with query chunks spread over `threads` (0 = one per core) — the batch
 /// replacement for calling [`knn_query_normalized`] in a loop.
 ///
 /// # Panics
@@ -250,7 +411,7 @@ pub fn knn_batch(
     let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
     for_each_chunk(&mut results, threads, |base, out| {
         let q = &normed_q[base * dim..(base + out.len()) * dim];
-        scan_tiled(normed, q, None, out, k);
+        scan_tiled(normed, q, out, k);
     });
     results
 }
@@ -399,6 +560,14 @@ mod tests {
             let _root = darkvec_obs::span!("test.knn.two_chunks");
             knn_batch(&normed, &queries, 3, 2);
         }
+        // Two tiles of rows: two threads get a band each.
+        let rows = TILE_ROWS + 1;
+        let wide: Vec<f32> = (0..rows).flat_map(|i| [1.0, i as f32]).collect();
+        let wide = Matrix::new(&wide, rows, 2).normalized();
+        {
+            let _root = darkvec_obs::span!("test.knn.two_bands");
+            knn_all_normalized(&wide, 3, 2);
+        }
         let tree = darkvec_obs::span::snapshot();
         let root = |name| tree.iter().find(|n| n.name == name).expect("root span");
         let inline = root("test.knn.one_chunk");
@@ -411,6 +580,40 @@ mod tests {
             Some(2),
             "{spawned:?}"
         );
+        let banded = root("test.knn.two_bands");
+        assert_eq!(
+            banded
+                .child("ml.knn")
+                .and_then(|knn| knn.child("ml.knn.chunk"))
+                .map(|n| n.count),
+            Some(2),
+            "{banded:?}"
+        );
+    }
+
+    #[test]
+    fn bands_tile_the_triangle_in_even_shares() {
+        for tiles in 1..40 {
+            let total = tiles * (tiles + 1) / 2;
+            for bands in 1..=tiles {
+                let ranges = band_ranges(tiles, bands);
+                assert_eq!(ranges.len(), bands, "{tiles} tiles");
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[bands - 1].end, tiles);
+                for (band, next) in ranges.iter().zip(&ranges[1..]) {
+                    assert_eq!(band.end, next.start, "{ranges:?}");
+                }
+                for band in &ranges {
+                    assert!(!band.is_empty(), "{ranges:?}");
+                    // Within one tile's pairs of an even share.
+                    let pairs: usize = band.clone().map(|t| tiles - t).sum();
+                    assert!(
+                        pairs <= total / bands + tiles,
+                        "{tiles}/{bands}: {ranges:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,19 +13,23 @@ fn arb_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
 }
 
 /// Sizes for the scan reference test: past one 256-row tile and an
-/// 8-query block natively, a handful of rows under Miri.
+/// 8-query block natively, or 3–5 tiles so that up to 4 threads each get
+/// a band of the all-rows scan; a handful of rows under Miri.
 const TIED_ROWS: std::ops::Range<usize> = if cfg!(miri) { 2..10 } else { 2..300 };
+const MULTI_TILE_ROWS: std::ops::Range<usize> = if cfg!(miri) { 2..10 } else { 700..1100 };
 const TIED_DIMS: std::ops::Range<usize> = if cfg!(miri) { 1..6 } else { 1..20 };
 
-/// A matrix with exact ties and one NaN row: entries in [-1, 1), every
-/// third row overwritten by a copy of a random earlier row, and one row
-/// all NaN.
+/// A matrix with exact ties and, half the time, one NaN row: entries in
+/// [-1, 1), every third row overwritten by a copy of a random earlier
+/// row, and possibly one row all NaN. (A NaN score sends a multi-band
+/// all-rows scan back to one band, so only NaN-free matrices exercise
+/// the band merge.)
 fn arb_tied_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
-    (TIED_ROWS, TIED_DIMS).prop_flat_map(|(rows, dim)| {
+    (prop_oneof![TIED_ROWS, MULTI_TILE_ROWS], TIED_DIMS).prop_flat_map(|(rows, dim)| {
         (
             prop::collection::vec(-1.0f32..1.0, rows * dim),
             prop::collection::vec(0usize..rows, rows),
-            0usize..rows,
+            0usize..2 * rows,
         )
             .prop_map(move |(mut data, copy_from, nan_row)| {
                 for (i, &src) in copy_from.iter().enumerate() {
@@ -33,7 +37,9 @@ fn arb_tied_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
                         data.copy_within(src * dim..(src + 1) * dim, i * dim);
                     }
                 }
-                data[nan_row * dim..(nan_row + 1) * dim].fill(f32::NAN);
+                if nan_row < rows {
+                    data[nan_row * dim..(nan_row + 1) * dim].fill(f32::NAN);
+                }
                 (data, rows, dim)
             })
     })
@@ -87,7 +93,7 @@ proptest! {
         let want_all: Vec<Vec<Neighbor>> = (0..rows)
             .map(|i| naive_knn(&normed, normed.row(i), Some(i), k))
             .collect();
-        for threads in [1, 2, 3] {
+        for threads in [1, 2, 3, 4] {
             prop_assert_eq!(
                 bits(&knn_all_normalized(&normed, k, threads)),
                 bits(&want_all),

@@ -47,9 +47,10 @@ fn full_stack_is_deterministic_for_a_seed() {
 
 #[test]
 fn knn_results_are_thread_count_invariant() {
-    // The cache-blocked kNN search visits candidates in the same global
-    // order regardless of how rows are chunked across threads, so results
-    // must be byte-identical for any thread count.
+    // Each thread scans a band of the upper triangle and the bands merge
+    // in a fixed order; a row's candidates from a later band all have
+    // higher indices, so the merge keeps the one-band ascending order and
+    // results must be byte-identical for any thread count.
     use darkvec_ml::knn::knn_all;
     use darkvec_ml::vectors::Matrix;
     use rand::rngs::SmallRng;
