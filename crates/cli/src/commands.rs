@@ -250,6 +250,9 @@ pub fn cluster(opts: &Options) -> Result<(), String> {
         threads: opts.get_or("threads", 0usize)?,
         backend,
     };
+    if cfg.k == 0 {
+        return Err("--k must be at least 1".to_string());
+    }
     let min_size: usize = opts.get_or("min-size", 4usize)?;
     info!(
         "clustering {} senders (k'={}, {} neighbour search)...",
@@ -907,6 +910,13 @@ mod tests {
             ("k", "3"),
         ]))
         .unwrap();
+        let err = cluster(&opts(&[
+            ("trace", &trace_path),
+            ("model", &model_path),
+            ("k", "0"),
+        ]))
+        .unwrap_err();
+        assert!(err.contains("--k"), "{err}");
         stats(&opts(&[("trace", &trace_path)])).unwrap();
     }
 

@@ -8,21 +8,26 @@
 //! measured over GT classes only; the per-class report is Table 4.
 
 use darkvec_ml::ann::{knn_all_with, NeighborBackend};
-use darkvec_ml::classifier::{loo_knn_classify, Label};
-use darkvec_ml::knn::{knn_batch, Neighbor};
+use darkvec_ml::classifier::{loo_knn_classify, Label, LooOutcome};
+use darkvec_ml::knn::{knn_batch, AllRowsKnn, Neighbor};
 use darkvec_ml::metrics::{ClassReport, ConfusionMatrix};
-use darkvec_ml::vectors::{Matrix, NormalizedMatrix};
+use darkvec_ml::vectors::Matrix;
 use darkvec_types::Ipv4;
 use darkvec_w2v::Embedding;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A reusable evaluation context: the kNN lists are computed once for the
 /// largest `k` and shared across the paper's k-sweep (Figure 7).
+///
+/// On the exact backend the lists are the embedding's shared scan
+/// ([`Embedding::knn_scan`]): while this evaluation is alive,
+/// [`crate::unsupervised::cluster_embedding`] on the same embedding
+/// builds its k′-NN graph from their prefixes instead of scanning again.
 pub struct Evaluation {
-    /// The normalised embedding matrix, kept for external queries.
-    normed: NormalizedMatrix,
-    /// Neighbour lists per vocab row, sorted by decreasing similarity.
-    neighbors: Vec<Vec<Neighbor>>,
+    /// The all-rows search at `max_k`: the normalised embedding matrix
+    /// (kept for external queries) and every vocab row's neighbours.
+    knn: Arc<AllRowsKnn>,
     /// Voting label per vocab row (Unknown where unlabelled).
     labels: Vec<Label>,
     /// Rows that carry an evaluation label (present in the label map).
@@ -79,8 +84,14 @@ impl Evaluation {
     ) -> Self {
         assert!(!embedding.is_empty(), "cannot evaluate an empty embedding");
         let n = embedding.len();
-        let normed = Matrix::new(embedding.vectors(), n, embedding.dim()).normalized();
-        let neighbors = knn_all_with(&normed, max_k, threads, backend);
+        let knn = match backend {
+            NeighborBackend::Exact => embedding.knn_scan(max_k, threads),
+            _ => {
+                let normed = Matrix::new(embedding.vectors(), n, embedding.dim()).normalized();
+                let lists = knn_all_with(&normed, max_k, threads, backend);
+                Arc::new(AllRowsKnn::from_lists(normed, max_k, lists))
+            }
+        };
         let mut row_labels = Vec::with_capacity(n);
         let mut evaluated = Vec::with_capacity(n);
         for id in 0..n as u32 {
@@ -97,8 +108,7 @@ impl Evaluation {
             }
         }
         Evaluation {
-            normed,
-            neighbors,
+            knn,
             labels: row_labels,
             evaluated,
             unknown,
@@ -116,16 +126,31 @@ impl Evaluation {
     /// Panics if `queries.len()` is not a multiple of the embedding
     /// dimension or `k == 0`.
     pub fn classify_external(&self, queries: &[f32], k: usize) -> Vec<Label> {
-        let neighbors = knn_batch(&self.normed, queries, k, self.threads);
+        let neighbors = knn_batch(self.knn.normed(), queries, k, self.threads);
         loo_knn_classify(&neighbors, &self.labels, k).predictions
+    }
+
+    /// The leave-one-out vote over each row's first `k` neighbours.
+    ///
+    /// # Panics
+    /// Panics if `k` is 0 or exceeds the `max_k` passed to
+    /// [`Evaluation::prepare`].
+    fn vote(&self, k: usize) -> LooOutcome {
+        assert!(
+            k <= self.knn.k(),
+            "k = {k} exceeds the prepared max_k = {}",
+            self.knn.k()
+        );
+        loo_knn_classify(self.knn.lists(), &self.labels, k)
     }
 
     /// Classifies at a given `k` and builds the per-class report.
     ///
     /// # Panics
-    /// Panics if `k` exceeds the `max_k` passed to [`Evaluation::prepare`].
+    /// Panics if `k` is 0 or exceeds the `max_k` passed to
+    /// [`Evaluation::prepare`].
     pub fn report(&self, k: usize, names: &[&str]) -> ClassReport {
-        let outcome = loo_knn_classify(&self.neighbors, &self.labels, k);
+        let outcome = self.vote(k);
         let mut m = ConfusionMatrix::new(self.classes);
         for (i, &pred) in outcome.predictions.iter().enumerate() {
             if self.evaluated[i] {
@@ -137,8 +162,11 @@ impl Evaluation {
     }
 
     /// Accuracy over GT classes at a given `k` (Figure 7's y-axis).
+    ///
+    /// # Panics
+    /// Panics as [`Evaluation::report`] does.
     pub fn accuracy(&self, k: usize) -> f64 {
-        let outcome = loo_knn_classify(&self.neighbors, &self.labels, k);
+        let outcome = self.vote(k);
         let mut seen = 0u64;
         let mut correct = 0u64;
         for (i, &pred) in outcome.predictions.iter().enumerate() {
@@ -169,9 +197,11 @@ impl Evaluation {
         covered as f64 / universe.len() as f64
     }
 
-    /// The precomputed neighbour lists (shared with the GT-extension step).
+    /// The precomputed neighbour lists (shared with the GT-extension
+    /// step): every row's `max_k` nearest other rows, by decreasing
+    /// similarity, from a search at exactly `max_k`.
     pub fn neighbors(&self) -> &[Vec<Neighbor>] {
-        &self.neighbors
+        self.knn.lists()
     }
 
     /// Voting labels per vocab row.
@@ -261,6 +291,33 @@ mod tests {
         // The unknown row has zero support now.
         assert_eq!(report.row("unknown").unwrap().support, 0);
         assert_eq!(report.row("a").unwrap().support, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the prepared max_k")]
+    fn report_past_max_k_panics() {
+        let (emb, labels) = toy();
+        Evaluation::prepare(&emb, &labels, 3, 2, 3, 1).report(4, &["a", "b", "unknown"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the prepared max_k")]
+    fn accuracy_past_max_k_panics() {
+        let (emb, labels) = toy();
+        Evaluation::prepare(&emb, &labels, 3, 2, 3, 1).accuracy(4);
+    }
+
+    #[test]
+    fn neighbors_come_from_a_search_at_max_k() {
+        let (emb, labels) = toy();
+        let wide = Evaluation::prepare(&emb, &labels, 3, 2, 5, 1);
+        // A live scan at another k is not reused: the lists stay max_k long.
+        let narrow = Evaluation::prepare(&emb, &labels, 3, 2, 3, 2);
+        assert!(narrow.neighbors().iter().all(|l| l.len() == 3));
+        assert!(wide.neighbors().iter().all(|l| l.len() == 5));
+        for (n, w) in narrow.neighbors().iter().zip(wide.neighbors()) {
+            assert_eq!(n[..], w[..3]);
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! silhouettes.
 
 use darkvec_graph::components::connected_components;
+use darkvec_graph::graph::Graph;
 use darkvec_graph::knn_graph::{
     build_knn_graph_normalized, knn_graph_from_neighbors, KnnGraphConfig,
 };
@@ -102,14 +103,31 @@ impl Clustering {
     }
 }
 
-/// Clusters an embedding: k′-NN graph → Louvain → silhouettes.
+/// Clusters an embedding: k′-NN graph → Louvain → silhouettes. A k′ of 0
+/// clusters as k′ = 1 does.
+///
+/// On the exact backend the graph comes from the embedding's shared scan
+/// ([`Embedding::knn_prefix_scan`]): while an [`crate::supervised::Evaluation`]
+/// of the same embedding is alive, the first k′ entries of its lists and
+/// its normalised matrix serve the graph and the silhouettes, and no
+/// second scan runs.
 ///
 /// # Panics
 /// Panics if the embedding is empty.
 pub fn cluster_embedding(embedding: &Embedding<Ipv4>, cfg: &ClusterConfig) -> Clustering {
-    cluster_embedding_with(embedding, cfg, |normed| {
-        knn_all_with(normed, cfg.k.max(1), cfg.threads, &cfg.backend)
-    })
+    let NeighborBackend::Exact = cfg.backend else {
+        return cluster_embedding_with(embedding, cfg, |normed| {
+            knn_all_with(normed, cfg.k.max(1), cfg.threads, &cfg.backend)
+        });
+    };
+    assert!(!embedding.is_empty(), "cannot cluster an empty embedding");
+    let (knn, graph) = {
+        let _span = darkvec_obs::span!("graph.knn_build");
+        let knn = embedding.knn_prefix_scan(cfg.k.max(1), cfg.threads);
+        let graph = graph_of(knn.normed(), knn.lists(), cfg.k);
+        (knn, graph)
+    };
+    cluster_graph(embedding, &graph, knn.normed(), cfg.seed)
 }
 
 /// [`cluster_embedding`] with row u's k′ neighbours at `neighbors(m)[u]`
@@ -126,19 +144,34 @@ pub(crate) fn cluster_embedding_with(
     let normed = Matrix::new(embedding.vectors(), embedding.len(), embedding.dim()).normalized();
     let graph = {
         let _span = darkvec_obs::span!("graph.knn_build");
-        knn_graph_from_neighbors(
-            normed.rows(),
-            &neighbors(&normed),
-            // The edge accumulation reads only `k` and `mutual`.
-            &KnnGraphConfig {
-                k: cfg.k,
-                ..KnnGraphConfig::default()
-            },
-        )
+        graph_of(&normed, &neighbors(&normed), cfg.k)
     };
-    let partition = louvain(&graph, cfg.seed);
+    cluster_graph(embedding, &graph, &normed, cfg.seed)
+}
+
+/// The union k′-NN graph over the first `k.max(1)` entries of each list.
+fn graph_of(normed: &NormalizedMatrix, lists: &[Vec<Neighbor>], k: usize) -> Graph {
+    knn_graph_from_neighbors(
+        normed.rows(),
+        lists,
+        // The edge accumulation reads only `k` and `mutual`.
+        &KnnGraphConfig {
+            k: k.max(1),
+            ..KnnGraphConfig::default()
+        },
+    )
+}
+
+/// Louvain over `graph`, canonical ids, and silhouettes over `normed`.
+fn cluster_graph(
+    embedding: &Embedding<Ipv4>,
+    graph: &Graph,
+    normed: &NormalizedMatrix,
+    seed: u64,
+) -> Clustering {
+    let partition = louvain(graph, seed);
     let assignment = canonical_assignment(embedding, &partition.assignment, partition.communities);
-    let silhouettes = cluster_silhouettes_normalized(&normed, &assignment);
+    let silhouettes = cluster_silhouettes_normalized(normed, &assignment);
     Clustering {
         assignment,
         clusters: partition.communities,
@@ -198,6 +231,11 @@ pub fn k_sweep(
 }
 
 /// [`k_sweep`] with an explicit neighbour-search backend.
+///
+/// On the exact backend one scan at the largest k′
+/// ([`Embedding::knn_prefix_scan`]) serves every smaller k′ by prefix;
+/// over a normalised matrix with a non-finite entry, each other k′ is
+/// searched on its own.
 pub fn k_sweep_with(
     embedding: &Embedding<Ipv4>,
     ks: &[usize],
@@ -205,19 +243,34 @@ pub fn k_sweep_with(
     threads: usize,
     backend: &NeighborBackend,
 ) -> Vec<KSweepPoint> {
+    let Some(&widest) = ks.iter().max() else {
+        return Vec::new();
+    };
+    let shared = matches!(backend, NeighborBackend::Exact)
+        .then(|| embedding.knn_prefix_scan(widest.max(1), threads));
     // Normalise once for the whole sweep.
-    let normed = Matrix::new(embedding.vectors(), embedding.len(), embedding.dim()).normalized();
+    let own;
+    let normed = match &shared {
+        Some(knn) => knn.normed(),
+        None => {
+            own = Matrix::new(embedding.vectors(), embedding.len(), embedding.dim()).normalized();
+            &own
+        }
+    };
     ks.iter()
         .map(|&k| {
-            let graph = build_knn_graph_normalized(
-                &normed,
-                &KnnGraphConfig {
-                    k,
-                    threads,
-                    mutual: false,
-                    backend: backend.clone(),
-                },
-            );
+            let graph = match &shared {
+                Some(knn) if knn.has_prefix(k.max(1)) => graph_of(normed, knn.lists(), k),
+                _ => build_knn_graph_normalized(
+                    normed,
+                    &KnnGraphConfig {
+                        k,
+                        threads,
+                        mutual: false,
+                        backend: backend.clone(),
+                    },
+                ),
+            };
             let partition = louvain(&graph, seed);
             let (_, components) = connected_components(&graph);
             KSweepPoint {
@@ -419,6 +472,48 @@ mod tests {
         assert!(clustering
             .cluster_of(&emb, &Ipv4::new(99, 0, 0, 0))
             .is_none());
+    }
+
+    /// [`planted`] with row 5 overwritten by NaN.
+    fn planted_with_nan_row() -> Embedding<Ipv4> {
+        let (emb, _) = planted();
+        let mut vectors = emb.vectors().to_vec();
+        vectors[5 * 3..6 * 3].fill(f32::NAN);
+        Embedding::from_parts(emb.vocab().clone(), vectors, 3)
+    }
+
+    #[test]
+    fn k_sweep_from_one_scan_matches_a_scan_per_k() {
+        let ks = [1, 3, 6];
+        for emb in [planted().0, planted_with_nan_row()] {
+            let normed = Matrix::new(emb.vectors(), emb.len(), emb.dim()).normalized();
+            let want: Vec<(usize, usize, u64, usize)> = ks
+                .iter()
+                .map(|&k| {
+                    let graph = build_knn_graph_normalized(
+                        &normed,
+                        &KnnGraphConfig {
+                            k,
+                            threads: 1,
+                            ..KnnGraphConfig::default()
+                        },
+                    );
+                    let partition = louvain(&graph, 1);
+                    let (_, components) = connected_components(&graph);
+                    (
+                        k,
+                        partition.communities,
+                        partition.modularity.to_bits(),
+                        components,
+                    )
+                })
+                .collect();
+            let got: Vec<(usize, usize, u64, usize)> = k_sweep(&emb, &ks, 1, 1)
+                .iter()
+                .map(|p| (p.k, p.clusters, p.modularity.to_bits(), p.components))
+                .collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

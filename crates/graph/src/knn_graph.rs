@@ -48,18 +48,26 @@ pub fn build_knn_graph(matrix: Matrix<'_>, cfg: &KnnGraphConfig) -> Graph {
 }
 
 /// [`build_knn_graph`] over an already-normalised matrix, for callers
-/// sharing one [`NormalizedMatrix`] with the silhouette pass.
+/// sharing one [`NormalizedMatrix`] with the silhouette pass. A k′ of 0
+/// builds the k′ = 1 graph.
 pub fn build_knn_graph_normalized(matrix: &NormalizedMatrix, cfg: &KnnGraphConfig) -> Graph {
     let _span = darkvec_obs::span!("graph.knn_build");
-    let neighbors = knn_all_with(matrix, cfg.k.max(1), cfg.threads, &cfg.backend);
-    knn_graph_from_neighbors(matrix.rows(), &neighbors, cfg)
+    let cfg = KnnGraphConfig {
+        k: cfg.k.max(1),
+        ..cfg.clone()
+    };
+    let neighbors = knn_all_with(matrix, cfg.k, cfg.threads, &cfg.backend);
+    knn_graph_from_neighbors(matrix.rows(), &neighbors, &cfg)
 }
 
 /// Builds the symmetrised graph from precomputed neighbour lists —
-/// the edge-accumulation half of [`build_knn_graph`], split out so the
-/// incremental pipeline can feed *cached* kNN results through the exact
-/// same construction. `neighbors[u]` holds u's selected neighbours;
-/// `cfg.threads`/`cfg.backend` are unused here (the search already ran).
+/// the edge-accumulation half of [`build_knn_graph`], split out so
+/// *cached* kNN results (the incremental pipeline) and *longer* ones (a
+/// shared scan at a larger k, DESIGN.md §8) go through the exact same
+/// construction. Row u selects the first `cfg.k` entries of
+/// `neighbors[u]`: a list searched at `cfg.k`, or one whose first `cfg.k`
+/// entries are what that search returns. `cfg.threads`/`cfg.backend` are
+/// unused here (the search already ran).
 pub fn knn_graph_from_neighbors(
     n: usize,
     neighbors: &[Vec<darkvec_ml::knn::Neighbor>],
@@ -70,7 +78,7 @@ pub fn knn_graph_from_neighbors(
     // Accumulate directed selections into undirected weights.
     let mut edges: HashMap<(u32, u32), (f64, u8)> = HashMap::new();
     for (u, neigh) in neighbors.iter().enumerate() {
-        for nb in neigh {
+        for nb in neigh.iter().take(cfg.k) {
             let v = nb.index;
             let key = if u < v {
                 (u as u32, v as u32)
@@ -230,6 +238,25 @@ mod tests {
         assert_eq!(direct.len(), from_lists.len());
         for u in 0..6u32 {
             assert_eq!(direct.neighbors(u), from_lists.neighbors(u));
+        }
+    }
+
+    #[test]
+    fn longer_lists_build_the_graph_of_their_prefix() {
+        let data = grouped();
+        let m = Matrix::new(&data, 6, 2).normalized();
+        let long = knn_all_with(&m, 4, 1, &NeighborBackend::Exact);
+        for k in 1..=4 {
+            let cfg = KnnGraphConfig {
+                k,
+                threads: 1,
+                ..Default::default()
+            };
+            let direct = build_knn_graph_normalized(&m, &cfg);
+            let from_long = knn_graph_from_neighbors(m.rows(), &long, &cfg);
+            for u in 0..6u32 {
+                assert_eq!(direct.neighbors(u), from_long.neighbors(u), "k' = {k}");
+            }
         }
     }
 

@@ -34,6 +34,10 @@
 //! band records it there, and if any band saw one the matrix is rescanned
 //! as a single band.
 //!
+//! [`AllRowsKnn`] keeps one such scan with the normalised matrix it ran
+//! over and says which shorter scans its list prefixes reproduce, so the
+//! §6 evaluation (k = 7) and the §7 graph (k′ = 3) can share one scan.
+//!
 //! **External queries ([`knn_batch`], [`knn_query_normalized`]).** The
 //! scan is cache-blocked: queries advance in blocks of [`QUERY_BLOCK`]
 //! over candidate tiles of [`TILE_ROWS`] rows, so each ~50 KB tile is read
@@ -142,6 +146,84 @@ pub fn knn_all_normalized(
     darkvec_obs::metrics::gauge("ml.knn.rows_per_sec")
         .set(n as f64 / elapsed.as_secs_f64().max(1e-9));
     results
+}
+
+/// The all-rows search of one matrix, kept with what it ran over: the
+/// row-normalised matrix, the `k` it ran at, and every row's list.
+///
+/// **Prefixes.** Without a NaN score, each list of the exact scan
+/// ([`knn_all_normalized`]) is the top `k` under (similarity descending,
+/// index ascending), so its first k′ entries are the top k′, the list a
+/// scan at k′ returns. Every score is a dot product of two normalised
+/// rows, so an all-finite normalised matrix scores no NaN: its scan
+/// serves every k′ ≤ `k` by prefix. Any other exact scan serves only its
+/// own `k`, and another backend's lists serve none
+/// ([`AllRowsKnn::has_prefix`]).
+#[derive(Debug)]
+pub struct AllRowsKnn {
+    normed: NormalizedMatrix,
+    k: usize,
+    lists: Vec<Vec<Neighbor>>,
+    /// Every k′ in `shortest_prefix..=k` has its exact lists as the first
+    /// k′ entries of these; `None` when no k′ does.
+    shortest_prefix: Option<usize>,
+}
+
+impl AllRowsKnn {
+    /// The exact scan at `k` of `matrix`'s normalised rows, `threads` as
+    /// in [`knn_all`].
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn scan(matrix: Matrix<'_>, k: usize, threads: usize) -> Self {
+        let normed = matrix.normalized();
+        let lists = knn_all_normalized(&normed, k, threads);
+        let shortest = if normed.data().iter().all(|x| x.is_finite()) {
+            1
+        } else {
+            k
+        };
+        AllRowsKnn {
+            normed,
+            k,
+            lists,
+            shortest_prefix: Some(shortest),
+        }
+    }
+
+    /// Lists another search found at `k` over `normed` (an approximate
+    /// index, say): they serve no prefix, not even at `k`.
+    pub fn from_lists(normed: NormalizedMatrix, k: usize, lists: Vec<Vec<Neighbor>>) -> Self {
+        AllRowsKnn {
+            normed,
+            k,
+            lists,
+            shortest_prefix: None,
+        }
+    }
+
+    /// The normalised matrix the search ran over.
+    pub fn normed(&self) -> &NormalizedMatrix {
+        &self.normed
+    }
+
+    /// The `k` the search ran at.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Every row's neighbours, by decreasing similarity: at most
+    /// [`AllRowsKnn::k`] entries each.
+    pub fn lists(&self) -> &[Vec<Neighbor>] {
+        &self.lists
+    }
+
+    /// Whether the first `k` entries of every list are, bit for bit, the
+    /// lists an exact scan at `k` returns (see the type docs).
+    pub fn has_prefix(&self, k: usize) -> bool {
+        self.shortest_prefix
+            .is_some_and(|shortest| (shortest..=self.k).contains(&k))
+    }
 }
 
 /// One band's share of the all-rows scan: the lists of rows
@@ -589,6 +671,23 @@ mod tests {
             Some(2),
             "{banded:?}"
         );
+    }
+
+    #[test]
+    fn prefixes_need_an_exact_scan_over_finite_rows() {
+        let data = grouped_matrix();
+        let finite = AllRowsKnn::scan(Matrix::new(&data, 12, 2), 4, 1);
+        assert_eq!(finite.lists(), knn_all(Matrix::new(&data, 12, 2), 4, 1));
+        assert!((1..=4).all(|k| finite.has_prefix(k)));
+        assert!(!finite.has_prefix(0) && !finite.has_prefix(5));
+        let mut with_nan = data.clone();
+        with_nan[2] = f32::NAN;
+        let nan = AllRowsKnn::scan(Matrix::new(&with_nan, 12, 2), 4, 1);
+        assert!(nan.has_prefix(4));
+        assert!((0..=5).filter(|&k| k != 4).all(|k| !nan.has_prefix(k)));
+        let other = AllRowsKnn::from_lists(finite.normed().clone(), 4, finite.lists().to_vec());
+        assert_eq!(other.k(), 4);
+        assert!((0..=5).all(|k| !other.has_prefix(k)));
     }
 
     #[test]

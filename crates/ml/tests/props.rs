@@ -1,7 +1,9 @@
 //! Property-based tests for kNN and the classification metrics.
 
 use darkvec_ml::classifier::loo_knn_classify;
-use darkvec_ml::knn::{knn_all, knn_all_normalized, knn_batch, knn_query_normalized, Neighbor};
+use darkvec_ml::knn::{
+    knn_all, knn_all_normalized, knn_batch, knn_query_normalized, AllRowsKnn, Neighbor,
+};
 use darkvec_ml::metrics::ConfusionMatrix;
 use darkvec_ml::vectors::{cosine, dot, normalize_rows, normalize_vec, Matrix, NormalizedMatrix};
 use proptest::prelude::*;
@@ -39,6 +41,31 @@ fn arb_tied_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
                 }
                 if nan_row < rows {
                     data[nan_row * dim..(nan_row + 1) * dim].fill(f32::NAN);
+                }
+                (data, rows, dim)
+            })
+    })
+}
+
+/// A finite matrix full of exact ties: entries from a palette holding
+/// both zeros, every seventh row all zero (of either sign), and every
+/// third row a copy of a random earlier row.
+fn arb_finite_tied_matrix() -> impl Strategy<Value = (Vec<f32>, usize, usize)> {
+    const PALETTE: [f32; 7] = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0];
+    (prop_oneof![TIED_ROWS, MULTI_TILE_ROWS], TIED_DIMS).prop_flat_map(|(rows, dim)| {
+        (
+            prop::collection::vec(0usize..PALETTE.len(), rows * dim),
+            prop::collection::vec(0usize..rows, rows),
+        )
+            .prop_map(move |(picks, copy_from)| {
+                let mut data: Vec<f32> = picks.iter().map(|&p| PALETTE[p]).collect();
+                for (i, &src) in copy_from.iter().enumerate() {
+                    let row = i * dim..(i + 1) * dim;
+                    if i % 7 == 5 {
+                        data[row].fill(if src % 2 == 0 { 0.0 } else { -0.0 });
+                    } else if i % 3 == 0 && src < i {
+                        data.copy_within(src * dim..(src + 1) * dim, row.start);
+                    }
                 }
                 (data, rows, dim)
             })
@@ -117,6 +144,33 @@ proptest! {
             .map(|raw| knn_query_normalized(&normed, raw, k))
             .collect();
         prop_assert_eq!(bits(&single), bits(&want_ext));
+    }
+
+    /// What lets the §6 evaluation and the §7 graph share one scan: over
+    /// a finite matrix, the scan at k′ is the first k′ entries of the scan
+    /// at any k ≥ k′.
+    #[test]
+    fn knn_prefixes_match_shorter_scans_bit_for_bit(
+        (data, rows, dim) in arb_finite_tied_matrix(),
+        k in 1usize..12,
+    ) {
+        let shared = AllRowsKnn::scan(Matrix::new(&data, rows, dim), k, 1);
+        prop_assert!((1..=k).all(|short| shared.has_prefix(short)));
+        let normed = shared.normed();
+        for threads in [1, 2, 3, 4] {
+            let full = knn_all_normalized(normed, k, threads);
+            for short in 1..=k {
+                let prefixes: Vec<Vec<Neighbor>> = full
+                    .iter()
+                    .map(|l| l[..l.len().min(short)].to_vec())
+                    .collect();
+                prop_assert_eq!(
+                    bits(&knn_all_normalized(normed, short, threads)),
+                    bits(&prefixes),
+                    "k' = {} of k = {}, {} threads", short, k, threads
+                );
+            }
+        }
     }
 }
 

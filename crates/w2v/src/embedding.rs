@@ -2,20 +2,42 @@
 
 use crate::vocab::{TokenId, Vocab};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use darkvec_ml::knn::AllRowsKnn;
+use darkvec_ml::vectors::Matrix;
 use std::fmt::Display;
 use std::hash::Hash;
 use std::path::Path;
 use std::str::FromStr;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// An embedding matrix keyed by words of type `W`.
 ///
 /// Rows are stored row-major in a flat `Vec<f32>` indexed by
 /// [`TokenId`]; lookups by word go through the vocabulary index.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Embedding<W> {
     vocab: Vocab<W>,
     vectors: Vec<f32>,
     dim: usize,
+    /// The exact all-rows kNN scan of these rows while a consumer holds
+    /// it (see [`Embedding::knn_scan`]). Weak: the embedding itself never
+    /// keeps a scan alive.
+    knn: Mutex<Weak<AllRowsKnn>>,
+}
+
+/// A clone starts with no shared scan of its own.
+impl<W> Clone for Embedding<W>
+where
+    Vocab<W>: Clone,
+{
+    fn clone(&self) -> Self {
+        Embedding {
+            vocab: self.vocab.clone(),
+            vectors: self.vectors.clone(),
+            dim: self.dim,
+            knn: Mutex::default(),
+        }
+    }
 }
 
 impl<W: Eq + Hash + Clone + Ord> Embedding<W> {
@@ -29,6 +51,7 @@ impl<W: Eq + Hash + Clone + Ord> Embedding<W> {
             vocab,
             vectors,
             dim,
+            knn: Mutex::default(),
         }
     }
 
@@ -104,11 +127,57 @@ impl<W: Eq + Hash + Clone + Ord> Embedding<W> {
     pub fn normalized(&self) -> Embedding<W> {
         let mut vectors = self.vectors.clone();
         darkvec_kernels::normalize_rows(&mut vectors, self.dim.max(1));
-        Embedding {
-            vocab: self.vocab.clone(),
-            vectors,
-            dim: self.dim,
+        Embedding::from_parts(self.vocab.clone(), vectors, self.dim)
+    }
+
+    /// The exact all-rows kNN scan of these rows at `k`
+    /// ([`AllRowsKnn::scan`], `threads` as there): a live scan at `k` that
+    /// another consumer holds, else a new one.
+    ///
+    /// The embedding keeps only a weak handle. A new scan fills it when no
+    /// scan is live, so the first consumer owns the shared scan and it
+    /// lives exactly as long as someone holds the returned `Arc`. The rows
+    /// never change, so a live scan is always a scan of them.
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn knn_scan(&self, k: usize, threads: usize) -> Arc<AllRowsKnn> {
+        self.shared_scan(k, threads, |scan| scan.k() == k)
+    }
+
+    /// [`Embedding::knn_scan`] for consumers that read only the first `k`
+    /// entries of each list: a live scan at a larger k serves them when
+    /// its prefixes are exact ([`AllRowsKnn::has_prefix`]).
+    ///
+    /// # Panics
+    /// Panics if `k == 0`.
+    pub fn knn_prefix_scan(&self, k: usize, threads: usize) -> Arc<AllRowsKnn> {
+        self.shared_scan(k, threads, |scan| scan.has_prefix(k))
+    }
+
+    fn shared_scan(
+        &self,
+        k: usize,
+        threads: usize,
+        serves: impl Fn(&AllRowsKnn) -> bool,
+    ) -> Arc<AllRowsKnn> {
+        if let Some(live) = self.knn_slot().upgrade().filter(|scan| serves(scan)) {
+            return live;
         }
+        let matrix = Matrix::new(&self.vectors, self.len(), self.dim);
+        let scan = Arc::new(AllRowsKnn::scan(matrix, k, threads));
+        let mut slot = self.knn_slot();
+        if slot.strong_count() == 0 {
+            *slot = Arc::downgrade(&scan);
+        }
+        scan
+    }
+
+    /// The handle's lock. A panic while it was held cannot leave the slot
+    /// invalid (it holds a `Weak`, live or dead), so a poisoned lock is
+    /// recovered rather than passed on.
+    fn knn_slot(&self) -> MutexGuard<'_, Weak<AllRowsKnn>> {
+        self.knn.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -370,6 +439,49 @@ mod tests {
         assert_eq!(sims[1].0, "d");
         assert_eq!(sims[2].0, "b");
         assert!(sims[2].1.is_nan());
+    }
+
+    #[test]
+    fn knn_scan_is_shared_while_held_and_freed_with_its_holders() {
+        let e = sample();
+        let first = e.knn_scan(2, 1);
+        assert!(Arc::ptr_eq(&first, &e.knn_scan(2, 1)));
+        // Finite rows: a shorter prefix reader shares the scan.
+        assert!(Arc::ptr_eq(&first, &e.knn_prefix_scan(1, 1)));
+        // An exact-k reader at another k scans on its own and leaves the
+        // handle to the first scan.
+        let other = e.knn_scan(1, 1);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert!(Arc::ptr_eq(&first, &e.knn_prefix_scan(1, 1)));
+        // A clone's handle starts empty.
+        assert!(!Arc::ptr_eq(&first, &e.clone().knn_scan(2, 1)));
+        drop((first, other));
+        assert_eq!(e.knn_slot().strong_count(), 0, "the embedding kept a scan");
+    }
+
+    #[test]
+    fn non_finite_rows_share_only_a_scan_at_the_same_k() {
+        let mut vectors = sample().vectors().to_vec();
+        vectors[2] = f32::NAN;
+        let e = Embedding::from_parts(sample().vocab().clone(), vectors, 2);
+        let scan = e.knn_scan(2, 1);
+        assert!(Arc::ptr_eq(&scan, &e.knn_prefix_scan(2, 1)));
+        assert!(!Arc::ptr_eq(&scan, &e.knn_prefix_scan(1, 1)));
+    }
+
+    #[test]
+    fn a_poisoned_scan_handle_is_recovered() {
+        let e = sample();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _guard = e.knn.lock();
+                panic!("poison the scan handle");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(e.knn.is_poisoned());
+        let scan = e.knn_scan(2, 1);
+        assert!(Arc::ptr_eq(&scan, &e.knn_prefix_scan(1, 1)));
     }
 
     #[test]

@@ -106,6 +106,96 @@ fn knn_graph_is_thread_count_invariant() {
     }
 }
 
+/// `ml.knn` spans recorded under the root span `root`, then its child
+/// `stage`, at any depth below.
+fn knn_scans_under(root: &str, stage: &str) -> u64 {
+    fn count(node: &darkvec_obs::span::SpanNode) -> u64 {
+        let own = if node.name == "ml.knn" { node.count } else { 0 };
+        own + node.children.iter().map(count).sum::<u64>()
+    }
+    darkvec_obs::span::snapshot()
+        .iter()
+        .filter(|node| node.name == root)
+        .filter_map(|node| node.child(stage))
+        .map(count)
+        .sum()
+}
+
+#[test]
+fn clustering_beside_a_live_evaluation_shares_its_scan_bit_for_bit() {
+    use darkvec::supervised::Evaluation;
+    use darkvec_gen::GtClass;
+    use darkvec_types::Ipv4;
+    use darkvec_w2v::Embedding;
+
+    let sim = simulate(&SimConfig::tiny(4012));
+    let mut cfg = DarkVecConfig::test_size(4012);
+    cfg.w2v.threads = 1;
+    cfg.w2v.epochs = 2;
+    let trained = pipeline::run(&sim.trace, &cfg).embedding;
+    assert!(
+        trained.len() > 256,
+        "two tiles, so two threads take a band each"
+    );
+    let labels: std::collections::HashMap<Ipv4, u32> = sim
+        .truth
+        .eval_labels(&sim.trace, 10)
+        .into_iter()
+        .map(|(ip, c)| (ip, c.label()))
+        .collect();
+    let copy = |emb: &Embedding<Ipv4>, nan_row: Option<usize>| {
+        let dim = emb.dim();
+        let mut vectors = emb.vectors().to_vec();
+        if let Some(row) = nan_row {
+            vectors[row * dim..(row + 1) * dim].fill(f32::NAN);
+        }
+        Embedding::from_parts(emb.vocab().clone(), vectors, dim)
+    };
+    let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    // (root span, NaN row, threads, scans by the prepare-and-cluster pair):
+    // a NaN row leaves only the evaluation's own k to share, so the
+    // k' = 3 graph scans for itself.
+    let cases = [
+        ("test.share.finite.t1", None, 1, 1),
+        ("test.share.finite.t2", None, 2, 1),
+        ("test.share.nan.t1", Some(5), 1, 2),
+        ("test.share.nan.t2", Some(5), 2, 2),
+    ];
+    for (root, nan_row, threads, pair_scans) in cases {
+        let emb = copy(&trained, nan_row);
+        let cfg = ClusterConfig {
+            k: 3,
+            seed: 9,
+            threads,
+            ..Default::default()
+        };
+        let fresh = cluster_embedding(&copy(&emb, None), &cfg);
+        let (shared, after) = {
+            let _root = darkvec_obs::span!(root);
+            let shared = {
+                let _pair = darkvec_obs::span!("pair");
+                // Held while the clustering runs.
+                let _evaluation =
+                    Evaluation::prepare(&emb, &labels, 10, GtClass::Unknown.label(), 7, threads);
+                cluster_embedding(&emb, &cfg)
+            };
+            let _after = darkvec_obs::span!("after");
+            (shared, cluster_embedding(&emb, &cfg))
+        };
+        assert_eq!(knn_scans_under(root, "pair"), pair_scans, "{root}");
+        assert_eq!(
+            knn_scans_under(root, "after"),
+            1,
+            "{root}: a dropped evaluation's scan was kept"
+        );
+        for c in [&shared, &after] {
+            assert_eq!(c.assignment, fresh.assignment, "{root}");
+            assert_eq!(c.modularity.to_bits(), fresh.modularity.to_bits(), "{root}");
+            assert_eq!(bits(&c.silhouettes), bits(&fresh.silhouettes), "{root}");
+        }
+    }
+}
+
 #[test]
 fn different_seeds_give_different_captures() {
     let a = simulate(&SimConfig::tiny(1));

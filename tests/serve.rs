@@ -9,6 +9,7 @@ use darkvec::protocol::{
     decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME,
 };
 use darkvec::supervised::Evaluation;
+use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
 use darkvec::{Client, Daemon, ServeConfig};
 use darkvec_gen::{pump, simulate, PacketStream, SimConfig};
 use darkvec_types::{Ipv4, Packet, Protocol, Timestamp, Trace, DAY};
@@ -129,6 +130,35 @@ fn cold_start_refuses_queries_then_serves_after_first_swap() {
     // The served checksum is recomputable from live state: the model
     // was fully built before it became visible.
     assert_eq!(model.compute_checksum(), model.checksum);
+}
+
+/// Each swap's lineage step clusters the served embedding through its
+/// shared exact scan. The scan must die with that step: once the daemon
+/// is idle, the served model holds no neighbour lists, so clustering it
+/// again scans again.
+#[test]
+fn served_model_keeps_no_neighbour_lists_after_its_lineage_step() {
+    let (mut daemon, tx) = start(tiny_serve_cfg());
+    feed_and_settle(&daemon, tx, fixture_trace(3, 29));
+    let model = daemon.current_model().expect("model live");
+    {
+        let _root = darkvec_obs::span!("test.serve.recluster");
+        cluster_embedding(
+            &model.model.embedding,
+            &ClusterConfig {
+                k: 3,
+                threads: 1,
+                ..Default::default()
+            },
+        );
+    }
+    let tree = darkvec_obs::span::snapshot();
+    let root = tree
+        .iter()
+        .find(|n| n.name == "test.serve.recluster")
+        .expect("root span");
+    assert_eq!(root.find("ml.knn").map(|n| n.count), Some(1), "{root:?}");
+    daemon.shutdown();
 }
 
 #[test]
