@@ -18,7 +18,7 @@ use darkvec_kernels::{active_path, force_path, Path};
 use darkvec_ml::knn::knn_all;
 use darkvec_ml::vectors::Matrix;
 use darkvec_obs::Json;
-use darkvec_w2v::{train, Arch, Loss, TrainConfig};
+use darkvec_w2v::{train, TrainConfig};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
@@ -232,8 +232,6 @@ fn synthetic_corpus(smoke: bool) -> Vec<Vec<u32>> {
 /// embedding size (dim 200), where the dot/axpy kernels dominate.
 fn w2v_config(smoke: bool) -> TrainConfig {
     TrainConfig {
-        arch: Arch::SkipGram,
-        loss: Loss::NegativeSampling,
         dim: if smoke { 32 } else { 200 },
         window: if smoke { 5 } else { 10 },
         negative: 5,

@@ -34,8 +34,8 @@
 //!   verbosity (`-v` is shorthand for debug; `DARKVEC_LOG` also works);
 //! * `--manifest-out DIR` — where to write the JSON run manifest
 //!   (default `results/manifests/`, `none` disables it);
-//! * `--no-simd` — force the scalar compute kernels (debugging escape
-//!   hatch; `DARKVEC_NO_SIMD=1` also works);
+//! * `--no-simd` — force the portable (non-SIMD) compute kernels
+//!   (debugging escape hatch; `DARKVEC_NO_SIMD=1` also works);
 //! * `--metrics-addr HOST:PORT` — serve live Prometheus metrics
 //!   (`/metrics`) and a JSON snapshot (`/metrics.json`) for the
 //!   duration of the run;
@@ -232,7 +232,7 @@ fn usage() -> &'static str {
        --model FILE       model file (.dkvm, or a bare .dkve embedding)\n\
        --out FILE         output path\n\
        -v                 debug logging (also --log-level LEVEL, DARKVEC_LOG)\n\
-       --no-simd          force scalar compute kernels (also DARKVEC_NO_SIMD=1)\n\
+       --no-simd          force portable non-SIMD kernels (also DARKVEC_NO_SIMD=1)\n\
        --ann / --exact    approximate (HNSW) vs. exact neighbour search\n\
                           where kNN is involved (default exact)\n\
        --shard-threads N  parallel day-shard corpus build for incremental\n\

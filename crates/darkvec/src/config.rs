@@ -78,19 +78,19 @@ impl Default for DarkVecConfig {
 impl DarkVecConfig {
     /// A canonical string of every parameter that determines the *trained
     /// artifacts* — the cache-key material. Excludes execution details that
-    /// change wall clock but not (single-threaded) results: thread count
-    /// and the observer. Excludes the sliding window too: a per-day corpus
-    /// or per-window model is the same artifact whichever window schedule
-    /// requested it.
+    /// change wall clock but not (single-threaded) results: the thread
+    /// count. Excludes the sliding window too: a per-day corpus or
+    /// per-window model is the same artifact whichever window schedule
+    /// requested it. `arch=SkipGram;loss=NegativeSampling` is a literal:
+    /// SGNS is the only model, and the text predates that, so every key
+    /// written before keeps its value.
     pub fn fingerprint(&self) -> String {
         let w = &self.w2v;
         format!(
-            "service={:?};dt={};min_packets={};arch={:?};loss={:?};dim={};window={};negative={};epochs={};alpha={};min_alpha={};subsample={};min_count={};seed={}",
+            "service={:?};dt={};min_packets={};arch=SkipGram;loss=NegativeSampling;dim={};window={};negative={};epochs={};alpha={};min_alpha={};subsample={};min_count={};seed={}",
             self.service,
             self.dt,
             self.min_packets,
-            w.arch,
-            w.loss,
             w.dim,
             w.window,
             w.negative,
@@ -173,5 +173,20 @@ mod tests {
         let mut win = base.clone();
         win.window = SlidingWindow { days: 4, stride: 2 };
         assert_eq!(base.fingerprint_hash(), win.fingerprint_hash());
+    }
+
+    /// Every cached corpus, model and k′-NN list is keyed by this text and
+    /// every DKVM file embeds its hash, so an edit that moves either one
+    /// orphans every artifact written before it.
+    #[test]
+    fn default_fingerprint_text_and_hash_are_pinned() {
+        let c = DarkVecConfig::default();
+        assert_eq!(
+            c.fingerprint(),
+            "service=DomainKnowledge;dt=3600;min_packets=10;arch=SkipGram;\
+             loss=NegativeSampling;dim=50;window=25;negative=5;epochs=10;\
+             alpha=0.025;min_alpha=0.0001;subsample=0.001;min_count=1;seed=1"
+        );
+        assert_eq!(c.fingerprint_hash(), 0xb7d0_fce1_4ba9_640a);
     }
 }

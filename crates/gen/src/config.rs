@@ -1,7 +1,5 @@
 //! Simulation scale knobs.
 
-use serde::{Deserialize, Serialize};
-
 /// Scale and horizon of a simulated capture.
 ///
 /// The paper-shape class sizes and per-sender rates live in
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// scanner projects) are kept at their paper sizes regardless of
 /// `sender_scale` — their structure (7 Censys sub-groups, 10 Engin-Umich
 /// senders) is the point of several figures.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Capture length in days (the paper uses 30).
     pub days: u64,

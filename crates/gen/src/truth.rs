@@ -12,14 +12,13 @@
 //!   unsupervised analysis.
 
 use darkvec_types::{Fingerprint, Ipv4, Trace};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// The ten observable ground-truth classes (Table 2 + Unknown).
 ///
 /// The discriminant doubles as the dense label id used by `darkvec-ml`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 #[repr(u32)]
 pub enum GtClass {
     /// GT1 — senders carrying the Mirai fingerprint.
@@ -98,7 +97,7 @@ impl fmt::Display for GtClass {
 }
 
 /// The hidden campaign that generated a sender.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum CampaignId {
     /// The main Mirai-like botnet population.
     MiraiCore,

@@ -39,18 +39,14 @@
 //! an intermediate rounding; lane reduction reorders sums) — the parity
 //! suite bounds that divergence at 1e-5 relative error.
 //!
-//! ## Hogwild kernels
-//!
-//! [`hogwild`] hosts the same primitives over rows of relaxed
-//! `AtomicU32`-encoded `f32` cells (the Word2Vec shared parameter
-//! matrices). Packed SIMD loads over atomics would be a data race in the
-//! Rust memory model, so these use the unrolled-accumulator formulation
-//! only — which is where most of the win is for latency-bound 50-dim
-//! dots anyway.
+//! Every kernel works on plain `f32` slices. The Word2Vec trainer keeps its
+//! shared parameter matrices in relaxed atomic cells and copies a row out
+//! before handing it to these kernels (packed SIMD loads over atomics
+//! would be a data race), so the only atomics in this crate are its two
+//! dispatch cells.
 
 // lint: relaxed-ok(FORCED/DETECTED dispatch cells are write-once feature flags; any interleaving yields a valid path and detection is idempotent)
 
-pub mod hogwild;
 mod norm;
 mod portable;
 mod scalar;
@@ -355,9 +351,9 @@ pub fn normalize_rows_on(path: Path, data: &mut [f32], dim: usize) {
     }
 }
 
-/// The shared lane-reduction used by the portable and hogwild unrolled
-/// kernels: the same pairwise tree an AVX2 horizontal sum performs, so
-/// per-path results do not depend on how a caller splits its input.
+/// The lane reduction of the portable unrolled kernel: the same pairwise
+/// tree an AVX2 horizontal sum performs, so per-path results do not
+/// depend on how a caller splits its input.
 #[inline]
 pub(crate) fn reduce8(l: &[f32; 8]) -> f32 {
     let q = [l[0] + l[4], l[1] + l[5], l[2] + l[6], l[3] + l[7]];

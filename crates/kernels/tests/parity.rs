@@ -4,10 +4,9 @@
 //! misaligned sub-slices (SIMD paths must not assume alignment).
 
 use darkvec_kernels::{
-    available_paths, axpy_on, dot_on, dot_rows_on, force_path, hogwild, normalize_rows_on,
-    scale_add_on, scale_on, squared_norm, Path,
+    available_paths, axpy_on, dot_on, dot_rows_on, normalize_rows_on, scale_add_on, scale_on,
+    squared_norm, Path,
 };
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Vector lengths exercising every tail case: below one lane, below one
 /// 8-wide stride, one-off-a-stride, mid-size, and a prime well past the
@@ -260,83 +259,6 @@ fn zero_rows_survive_normalization() {
         let mut data = vec![0.0f32; 3 * 7];
         normalize_rows_on(path, &mut data, 7);
         assert!(data.iter().all(|&x| x == 0.0), "{path:?}");
-    }
-}
-
-fn atomic_row(vals: &[f32]) -> Vec<AtomicU32> {
-    vals.iter().map(|v| AtomicU32::new(v.to_bits())).collect()
-}
-
-fn plain_row(cells: &[AtomicU32]) -> Vec<f32> {
-    cells
-        .iter()
-        .map(|c| f32::from_bits(c.load(Ordering::Relaxed)))
-        .collect()
-}
-
-/// The hogwild kernels read the process-global active path, so this test
-/// owns all `force_path` toggling in this binary (the slice kernels above
-/// use the explicit `_on` variants and never touch the global state).
-#[test]
-fn hogwild_kernels_match_plain_kernels_on_every_path() {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            force_path(None);
-        }
-    }
-    let _restore = Restore;
-
-    let mut rng = Rng(66);
-    for path in available_paths() {
-        force_path(Some(path));
-        for &len in LENS {
-            let a = rng.vec(len);
-            let b = rng.vec(len);
-            let g = rng.f32();
-            let ra = atomic_row(&a);
-            let rb = atomic_row(&b);
-            let what = format!("hogwild len={len} {path:?}");
-
-            // load round-trips exactly.
-            let mut out = vec![0.0f32; len];
-            hogwild::load(&ra, &mut out);
-            assert_eq!(out, a, "{what}: load");
-
-            // dot against the scalar slice reference.
-            let want = dot_on(Path::Scalar, &a, &b);
-            assert_close(hogwild::dot(&ra, &b), want, &format!("{what}: dot"));
-            assert_close(
-                hogwild::dot_rows(&ra, &rb),
-                want,
-                &format!("{what}: dot_rows"),
-            );
-
-            // axpy: row += g * v.
-            let mut want_row = a.clone();
-            axpy_on(Path::Scalar, g, &b, &mut want_row);
-            hogwild::axpy(&ra, g, &b);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: axpy"));
-
-            // axpy_rows: dst += g * src (dst currently == want_row).
-            axpy_on(Path::Scalar, g, &b, &mut want_row);
-            hogwild::axpy_rows(&ra, g, &rb);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: axpy_rows"));
-
-            // add: row += buf.
-            for (w, &x) in want_row.iter_mut().zip(&b) {
-                *w += x;
-            }
-            hogwild::add(&ra, &b);
-            assert_slices_close(&plain_row(&ra), &want_row, &format!("{what}: add"));
-
-            // accumulate: buf += g * row.
-            let mut got_buf = b.clone();
-            hogwild::accumulate(&mut got_buf, g, &rb);
-            let mut want_buf = b.clone();
-            axpy_on(Path::Scalar, g, &b, &mut want_buf);
-            assert_slices_close(&got_buf, &want_buf, &format!("{what}: accumulate"));
-        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The workspace's `serde` is an inert offline stub, so manifests are
-//! serialized by hand through this module. Only what manifests need:
+//! The workspace builds offline with no serialisation framework, so
+//! manifests are serialized by hand through this module. Only what
+//! manifests need:
 //! construction, escaping, deterministic pretty-printing (object keys
 //! keep insertion order), and a small recursive-descent [`Json::parse`]
 //! so `darkvec obs diff`/`obs trace` can read manifests back.

@@ -21,8 +21,8 @@
 //! snapshots the span tree and metrics registry into a JSON **run
 //! manifest** under `results/manifests/`, giving every CLI command and
 //! every `xp` experiment a machine-readable perf/quality record. [`json`]
-//! is the tiny JSON writer/parser backing it (the workspace's serde is
-//! an inert offline stub, so manifests are emitted by hand).
+//! is the tiny JSON writer/parser backing it (the workspace has no
+//! serialisation framework, so manifests are emitted by hand).
 //!
 //! On top of manifests sit the production-observability modules:
 //!

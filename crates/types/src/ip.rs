@@ -7,7 +7,6 @@
 //! makes prefix arithmetic cheap.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -15,7 +14,7 @@ use std::str::FromStr;
 ///
 /// Ordering and hashing follow the numeric value, so sorting a sender list
 /// groups addresses of the same subnet together.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4(pub u32);
 
 impl Ipv4 {
@@ -115,7 +114,7 @@ impl From<Ipv4> for std::net::Ipv4Addr {
 }
 
 /// A CIDR subnet: a base address and a prefix length.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Subnet {
     /// Base address; host bits are always zero.
     pub base: Ipv4,

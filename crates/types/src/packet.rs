@@ -10,10 +10,9 @@
 use crate::ip::Ipv4;
 use crate::port::{PortKey, Protocol};
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Application-layer fingerprint carried by a packet, when recognisable.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Fingerprint {
     /// No recognised fingerprint.
     #[default]
@@ -26,7 +25,7 @@ pub enum Fingerprint {
 ///
 /// The struct is `Copy` and 16 bytes, so traces of tens of millions of
 /// packets stay cheap to generate, sort and scan.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Packet {
     /// Arrival time.
     pub ts: Timestamp,

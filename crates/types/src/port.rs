@@ -6,7 +6,6 @@
 //! `darkvec::services` (Table 7) are written in.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -15,7 +14,7 @@ use std::str::FromStr;
 /// ICMP carries no port; by convention packets with [`Protocol::Icmp`] use
 /// port 0 and the Ipip ground-truth class is the only heavy ICMP sender
 /// (Table 2, GT7).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -82,7 +81,7 @@ impl FromStr for Protocol {
 
 /// A (destination port, protocol) pair — the paper's notion of the raw
 /// service a packet targets, e.g. `23/tcp` or `53/udp`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PortKey {
     /// Destination port; 0 for ICMP.
     pub port: u16,

@@ -6,7 +6,6 @@
 //! seconds is more than enough resolution: darknet sequence construction
 //! only needs ordering and windowing, not sub-second precision.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -18,7 +17,7 @@ pub const HOUR: u64 = 3_600;
 pub const DAY: u64 = 86_400;
 
 /// Seconds since the start of the observation period.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

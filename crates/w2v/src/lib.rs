@@ -23,21 +23,21 @@
 //!   compiles to plain loads/stores on x86-64 — the lock-free SGD of the
 //!   original C tool, but without undefined behaviour.
 //!
+//! SGNS is the only model: the paper's CBOW and hierarchical-softmax
+//! alternatives (Appendix A.1) are not implemented. [`train`] builds the
+//! vocabulary itself; [`train_prepared`] takes one built elsewhere and an
+//! optional prior model to warm-start from.
+//!
 //! The crate is generic over the word type `W`: DarkVec uses IPv4 addresses,
 //! DANTE uses port numbers, and the unit tests use plain strings.
 
 pub mod embedding;
-pub mod huffman;
 pub mod matrix;
-pub mod observer;
 pub mod sampling;
 pub mod sigmoid;
 pub mod train;
 pub mod vocab;
 
 pub use embedding::Embedding;
-pub use observer::{CollectingObserver, EpochStats, TrainObserver};
-pub use train::{
-    count_skipgrams, train, train_from, train_prepared, Arch, Loss, TrainConfig, TrainStats,
-};
+pub use train::{count_skipgrams, train, train_prepared, TrainConfig, TrainStats};
 pub use vocab::Vocab;

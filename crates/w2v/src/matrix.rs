@@ -9,14 +9,13 @@
 //! (and AArch64) relaxed 32-bit loads/stores compile to plain `mov`/`ldr`,
 //! so this is the C algorithm at the C speed, without UB.
 //!
-//! The row-level math delegates to [`darkvec_kernels::hogwild`], which
-//! unrolls the latency-bound reductions (packed SIMD over atomics would be
-//! a data race, so those kernels stay scalar-per-element but break the FP
-//! dependency chain with independent accumulators).
+//! The trainer only copies rows in and out ([`AtomicMatrix::read_row`],
+//! [`AtomicMatrix::write_row`]) and does the row math on those plain
+//! copies through the packed `darkvec_kernels` slice kernels: packed SIMD
+//! loads over the atomic cells themselves would be a data race.
 
 // lint: relaxed-ok(this module IS the Hogwild weight matrix: relaxed AtomicU32 f32 cells are the documented lock-free design; lost updates are tolerated by SGD)
 
-use darkvec_kernels::hogwild;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A `rows × dim` matrix of lock-free `f32` cells.
@@ -74,13 +73,12 @@ impl AtomicMatrix {
         self.cells[row * self.dim + col].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// One row as a slice of raw atomic cells — the unit the
-    /// [`hogwild`] kernels operate on.
+    /// One row as a slice of raw atomic cells.
     ///
     /// # Panics
     /// Panics if `row` is out of range.
     #[inline]
-    pub fn row_cells(&self, row: usize) -> &[AtomicU32] {
+    fn row_cells(&self, row: usize) -> &[AtomicU32] {
         &self.cells[row * self.dim..(row + 1) * self.dim]
     }
 
@@ -91,63 +89,26 @@ impl AtomicMatrix {
     #[inline]
     pub fn read_row(&self, row: usize, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim);
-        hogwild::load(self.row_cells(row), out);
+        for (slot, c) in out.iter_mut().zip(self.row_cells(row)) {
+            *slot = f32::from_bits(c.load(Ordering::Relaxed));
+        }
     }
 
-    /// Overwrites a row from a plain buffer (store-only). Pairs with
-    /// [`read_row`](AtomicMatrix::read_row) for the snapshot → packed
-    /// update → publish pattern; see [`hogwild::store`] for the Hogwild
-    /// semantics.
+    /// Overwrites a row from a plain buffer (store-only, no
+    /// read-modify-write). A caller that snapshots a row with
+    /// [`read_row`](AtomicMatrix::read_row), updates the copy with packed
+    /// kernels and publishes it back with this trades a slightly wider
+    /// Hogwild lost-update window for SIMD arithmetic; single-threaded the
+    /// round trip is exact.
     ///
     /// # Panics
     /// Panics if `buf.len() != dim` (debug) or `row` is out of range.
     #[inline]
     pub fn write_row(&self, row: usize, buf: &[f32]) {
         debug_assert_eq!(buf.len(), self.dim);
-        hogwild::store(self.row_cells(row), buf);
-    }
-
-    /// Dot product of row `a` of `self` with row `b` of `other`.
-    #[inline]
-    pub fn row_dot(&self, a: usize, other: &AtomicMatrix, b: usize) -> f32 {
-        debug_assert_eq!(self.dim, other.dim);
-        hogwild::dot_rows(self.row_cells(a), other.row_cells(b))
-    }
-
-    /// `self[row] += g * other[src]` — the Hogwild AXPY step. Racy by
-    /// design: concurrent writers may lose updates, which SGNS tolerates.
-    #[inline]
-    pub fn row_axpy(&self, row: usize, g: f32, other: &AtomicMatrix, src: usize) {
-        debug_assert_eq!(self.dim, other.dim);
-        hogwild::axpy_rows(self.row_cells(row), g, other.row_cells(src));
-    }
-
-    /// `self[row] += buf` for a thread-local accumulation buffer.
-    #[inline]
-    pub fn row_add(&self, row: usize, buf: &[f32]) {
-        debug_assert_eq!(buf.len(), self.dim);
-        hogwild::add(self.row_cells(row), buf);
-    }
-
-    /// Dot product of row `row` with a thread-local vector.
-    #[inline]
-    pub fn row_dot_local(&self, row: usize, v: &[f32]) -> f32 {
-        debug_assert_eq!(v.len(), self.dim);
-        hogwild::dot(self.row_cells(row), v)
-    }
-
-    /// `self[row] += g * v` for a thread-local vector `v`.
-    #[inline]
-    pub fn row_axpy_local(&self, row: usize, g: f32, v: &[f32]) {
-        debug_assert_eq!(v.len(), self.dim);
-        hogwild::axpy(self.row_cells(row), g, v);
-    }
-
-    /// `buf += g * self[row]` — accumulate a scaled row into a local buffer.
-    #[inline]
-    pub fn accumulate_row(&self, row: usize, g: f32, buf: &mut [f32]) {
-        debug_assert_eq!(buf.len(), self.dim);
-        hogwild::accumulate(buf, g, self.row_cells(row));
+        for (c, &v) in self.row_cells(row).iter().zip(buf) {
+            c.store(v.to_bits(), Ordering::Relaxed);
+        }
     }
 
     /// Snapshots the matrix into a flat `Vec<f32>` (row-major).
@@ -207,67 +168,42 @@ mod tests {
     }
 
     #[test]
-    fn row_dot_matches_manual() {
-        let m = AtomicMatrix::zeros(2, 3);
-        let n = AtomicMatrix::zeros(1, 3);
-        for (i, v) in [1.0, 2.0, 3.0].iter().enumerate() {
-            m.set(1, i, *v);
-            n.set(0, i, 10.0);
-        }
-        assert_eq!(m.row_dot(1, &n, 0), 60.0);
-        assert_eq!(m.row_dot(0, &n, 0), 0.0);
-    }
-
-    #[test]
-    fn row_axpy_accumulates() {
-        let dst = AtomicMatrix::zeros(1, 2);
-        let src = AtomicMatrix::zeros(1, 2);
-        src.set(0, 0, 2.0);
-        src.set(0, 1, -1.0);
-        dst.row_axpy(0, 0.5, &src, 0);
-        dst.row_axpy(0, 0.5, &src, 0);
-        assert_eq!(dst.get(0, 0), 2.0);
-        assert_eq!(dst.get(0, 1), -1.0);
-    }
-
-    #[test]
-    fn row_add_and_read_row() {
-        let m = AtomicMatrix::zeros(2, 3);
-        m.row_add(1, &[1.0, 2.0, 3.0]);
-        let mut out = [0.0; 3];
+    fn write_row_then_read_row_round_trips() {
+        let m = AtomicMatrix::zeros(3, 3);
+        m.write_row(1, &[1.0, -2.5, 3.0]);
+        let mut out = [9.0; 3];
         m.read_row(1, &mut out);
-        assert_eq!(out, [1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn local_buffer_helpers_match_manual_math() {
-        let m = AtomicMatrix::zeros(2, 3);
-        for (i, v) in [1.0, 2.0, 3.0].iter().enumerate() {
-            m.set(1, i, *v);
-        }
-        assert_eq!(m.row_dot_local(1, &[2.0, 0.5, 1.0]), 2.0 + 1.0 + 3.0);
-        m.row_axpy_local(1, 2.0, &[1.0, 1.0, 1.0]);
-        assert_eq!(m.get(1, 0), 3.0);
-        assert_eq!(m.get(1, 2), 5.0);
-        let mut buf = [1.0f32; 3];
-        m.accumulate_row(1, 0.5, &mut buf);
-        assert_eq!(buf[0], 1.0 + 1.5);
+        assert_eq!(out, [1.0, -2.5, 3.0]);
+        // Only that row moved.
+        m.read_row(0, &mut out);
+        assert_eq!(out, [0.0; 3]);
+        m.read_row(2, &mut out);
+        assert_eq!(out, [0.0; 3]);
+        assert_eq!(m.get(1, 1), -2.5);
     }
 
     #[test]
     fn concurrent_updates_do_not_tear() {
         // Relaxed 32-bit atomics can lose increments under contention but
         // can never produce a torn/garbage bit pattern: every read must be
-        // one of the written values.
-        let m = std::sync::Arc::new(AtomicMatrix::zeros(1, 1));
+        // one of the written values. A row read may mix cells of
+        // different writers (the Hogwild trade), but never tears a cell.
+        let m = std::sync::Arc::new(AtomicMatrix::zeros(1, 4));
         let mut handles = Vec::new();
         for t in 0..4 {
             let m = m.clone();
             handles.push(std::thread::spawn(move || {
-                for _ in 0..10_000 {
+                let mut row = [0.0f32; 4];
+                for _ in 0..2_000 {
                     m.set(0, 0, t as f32 + 1.0);
                     let v = m.get(0, 0);
                     assert!((1.0..=4.0).contains(&v), "torn read: {v}");
+                    m.write_row(0, &[t as f32 + 1.0; 4]);
+                    m.read_row(0, &mut row);
+                    assert!(
+                        row.iter().all(|v| (1.0..=4.0).contains(v)),
+                        "torn row read: {row:?}"
+                    );
                 }
             }));
         }

@@ -1,14 +1,11 @@
-//! The Word2Vec training loop.
+//! The Word2Vec training loop: skip-gram with negative sampling (SGNS),
+//! the one model the paper trains (through Gensim, §5.3).
 //!
-//! This follows the reference `word2vec.c` schedule that Gensim reimplements
-//! (the paper trains with Gensim, §5.3), covering the full architecture
-//! matrix:
+//! This follows the reference `word2vec.c` schedule that Gensim
+//! reimplements:
 //!
-//! * **architecture** — [`Arch::SkipGram`] (the paper's choice) or
-//!   [`Arch::Cbow`] (described in Appendix A.1 alongside it);
-//! * **output layer** — [`Loss::NegativeSampling`] against the
-//!   unigram^0.75 table, or [`Loss::HierarchicalSoftmax`] over a Huffman
-//!   tree of the vocabulary;
+//! * input = context word, output = centre word, with `negative` noise
+//!   words per positive pair drawn from the unigram^0.75 table;
 //! * per-occurrence subsampling of frequent words;
 //! * dynamic window: the effective context radius at each position is
 //!   uniform in `1..=window`;
@@ -20,9 +17,7 @@
 // lint: relaxed-ok(Hogwild SGD: progress/ops counters are metrics, and gradient cells tolerate racy relaxed reads by design — see Recht et al. and matrix.rs)
 
 use crate::embedding::Embedding;
-use crate::huffman::HuffmanTree;
 use crate::matrix::AtomicMatrix;
-use crate::observer::{EpochStats, TrainObserver};
 use crate::sampling::{SubSampler, UnigramTable};
 use crate::sigmoid::SigmoidTable;
 use crate::vocab::{TokenId, Vocab};
@@ -30,30 +25,7 @@ use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Model architecture (Appendix A.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Arch {
-    /// Predict context words from the centre word.
-    #[default]
-    SkipGram,
-    /// Continuous bag of words: predict the centre word from the averaged
-    /// context.
-    Cbow,
-}
-
-/// Output layer / objective.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Loss {
-    /// `negative` noise samples from the unigram^0.75 distribution per
-    /// positive pair (Mikolov et al. 2013b).
-    #[default]
-    NegativeSampling,
-    /// One sigmoid decision per Huffman-tree node on the target's path.
-    HierarchicalSoftmax,
-}
 
 /// Hyper-parameters of the trainer.
 ///
@@ -61,17 +33,13 @@ pub enum Loss {
 /// negative sampling, `V = 50` dimensions, context window `c = 25`,
 /// `min_count = 10` (the active-sender filter) — with Gensim's defaults
 /// for the knobs the paper leaves unstated.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct TrainConfig {
-    /// Model architecture.
-    pub arch: Arch,
-    /// Output layer.
-    pub loss: Loss,
     /// Embedding dimension (the paper's `V`).
     pub dim: usize,
     /// Maximum context window radius (the paper's `c`).
     pub window: usize,
-    /// Negative samples per positive pair (negative-sampling loss only).
+    /// Negative samples per positive pair.
     pub negative: usize,
     /// Passes over the corpus.
     pub epochs: usize,
@@ -87,41 +55,11 @@ pub struct TrainConfig {
     pub threads: usize,
     /// RNG seed (initialisation and sampling).
     pub seed: u64,
-    /// Optional per-epoch progress callback (see [`crate::observer`]).
-    /// `None` adds no overhead to training; an attached observer is
-    /// called at epoch granularity only. Ignored by `PartialEq`-style
-    /// comparisons of configs and omitted from `Debug`.
-    pub observer: Option<Arc<dyn TrainObserver>>,
-}
-
-impl std::fmt::Debug for TrainConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrainConfig")
-            .field("arch", &self.arch)
-            .field("loss", &self.loss)
-            .field("dim", &self.dim)
-            .field("window", &self.window)
-            .field("negative", &self.negative)
-            .field("epochs", &self.epochs)
-            .field("alpha", &self.alpha)
-            .field("min_alpha", &self.min_alpha)
-            .field("subsample", &self.subsample)
-            .field("min_count", &self.min_count)
-            .field("threads", &self.threads)
-            .field("seed", &self.seed)
-            .field(
-                "observer",
-                &self.observer.as_ref().map(|_| "<dyn TrainObserver>"),
-            )
-            .finish()
-    }
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
-            arch: Arch::SkipGram,
-            loss: Loss::NegativeSampling,
             dim: 50,
             window: 25,
             negative: 5,
@@ -132,7 +70,6 @@ impl Default for TrainConfig {
             min_count: 10,
             threads: 0,
             seed: 1,
-            observer: None,
         }
     }
 }
@@ -158,9 +95,8 @@ pub struct TrainStats {
     pub vocab_size: usize,
     /// Corpus tokens after OOV removal, single epoch.
     pub corpus_tokens: u64,
-    /// Training interactions performed, summed over epochs (after
-    /// subsampling and window shrinking): (input, output) pairs for
-    /// skip-gram, one per centre word for CBOW.
+    /// (input, output) pairs trained, summed over epochs (after
+    /// subsampling and window shrinking).
     pub pairs_trained: u64,
     /// Wall-clock training time.
     pub elapsed: std::time::Duration,
@@ -197,45 +133,25 @@ where
     train_impl(corpus, cfg, None, None)
 }
 
-/// Warm-start training: like [`train`], but input rows of words already
-/// present in `prior` start from the prior's vectors instead of the seeded
-/// uniform init. Words new to this corpus get the usual deterministic init;
-/// words of the prior absent from this corpus are evicted (the vocabulary
-/// is rebuilt from `corpus` alone). This is the incremental sliding-window
-/// path: day *d+1* resumes from day *d*'s model and needs a fraction of the
-/// epochs a cold model does.
+/// [`train`] with a vocabulary built elsewhere, optionally warm-started
+/// from a `prior` model.
+///
+/// `vocab` must equal what `Vocab::build(corpus, cfg.min_count)` would
+/// produce (same words, counts and therefore ids): ids drive the seeded
+/// init, the subsampler and the negative table, so an equal vocabulary
+/// makes the whole training trajectory bit-identical to [`train`]'s. The
+/// parallel shard-merge corpus build passes the merged per-shard counts
+/// here instead of re-scanning the concatenated corpus.
+///
+/// With a `prior`, input rows of words it already embeds start from its
+/// vectors instead of the seeded uniform init. Words new to this corpus
+/// get the usual deterministic init; words of the prior absent from this
+/// corpus are evicted (the vocabulary is `vocab` alone). This is the
+/// incremental sliding-window path: day *d+1* resumes from day *d*'s
+/// model and needs a fraction of the epochs a cold model does.
 ///
 /// # Panics
-/// Panics if `prior.dim() != cfg.dim`, or as [`train`] does.
-pub fn train_from<W>(
-    corpus: &[Vec<W>],
-    cfg: &TrainConfig,
-    prior: &Embedding<W>,
-) -> (Embedding<W>, TrainStats)
-where
-    W: Eq + Hash + Clone + Ord + Send + Sync,
-{
-    assert_eq!(
-        prior.dim(),
-        cfg.dim,
-        "prior embedding dimension {} does not match cfg.dim {}",
-        prior.dim(),
-        cfg.dim
-    );
-    train_impl(corpus, cfg, Some(prior), None)
-}
-
-/// [`train`] / [`train_from`] with a vocabulary built elsewhere — the
-/// entry point of the parallel shard-merge corpus build, which counts
-/// words per shard and merges the counts instead of re-scanning the
-/// concatenated corpus. `vocab` must equal what
-/// `Vocab::build(corpus, cfg.min_count)` would produce (same words,
-/// counts and therefore ids): ids drive the seeded init, the subsampler
-/// and the negative table, so an equal vocabulary makes the whole
-/// training trajectory bit-identical to the serial path.
-///
-/// # Panics
-/// Panics as [`train`] does, and if a `prior`'s dimension mismatches.
+/// Panics as [`train`] does, and if `prior.dim() != cfg.dim`.
 pub fn train_prepared<W>(
     corpus: &[Vec<W>],
     cfg: &TrainConfig,
@@ -296,14 +212,7 @@ where
     let corpus_tokens: u64 = encoded.iter().map(|s| s.len() as u64).sum();
 
     let init_span = darkvec_obs::span!("w2v.init");
-    let table = match cfg.loss {
-        Loss::NegativeSampling => Some(UnigramTable::with_defaults(vocab.counts())),
-        Loss::HierarchicalSoftmax => None,
-    };
-    let tree = match cfg.loss {
-        Loss::HierarchicalSoftmax => Some(HuffmanTree::new(vocab.counts())),
-        Loss::NegativeSampling => None,
-    };
+    let table = UnigramTable::with_defaults(vocab.counts());
     let subsampler = SubSampler::new(vocab.counts(), vocab.total_count(), cfg.subsample);
     let sig = SigmoidTable::new();
 
@@ -327,8 +236,7 @@ where
             vocab.len()
         );
     }
-    // Output matrix: one row per word (negative sampling) or per internal
-    // Huffman node (hierarchical softmax); vocab.len() rows cover both.
+    // Output matrix: one row per word.
     let syn1 = AtomicMatrix::zeros(vocab.len(), cfg.dim);
     drop(init_span);
 
@@ -337,14 +245,15 @@ where
     let pairs_trained = AtomicU64::new(0);
 
     let threads = cfg.effective_threads().min(encoded.len().max(1));
-    let chunk = encoded.len().div_ceil(threads);
+    // At least 1: with no sentence of two or more tokens `encoded` is
+    // empty, no worker starts and the initialised rows come back as is.
+    let chunk = encoded.len().div_ceil(threads).max(1);
 
     let hogwild_span = darkvec_obs::span!("w2v.hogwild");
     let hogwild_ctx = darkvec_obs::span::context();
     crossbeam::scope(|scope| {
         for (tid, sentences) in encoded.chunks(chunk).enumerate() {
-            let (syn0, syn1, sig, subsampler) = (&syn0, &syn1, &sig, &subsampler);
-            let (table, tree) = (&table, &tree);
+            let (syn0, syn1, sig, subsampler, table) = (&syn0, &syn1, &sig, &subsampler, &table);
             let (words_done, pairs_trained) = (&words_done, &pairs_trained);
             scope.spawn(move |_| {
                 let _worker_span = darkvec_obs::span!("w2v.hogwild.worker", hogwild_ctx);
@@ -354,7 +263,6 @@ where
                     ),
                     sen: Vec::new(),
                     input: vec![0.0f32; cfg.dim],
-                    neu1: vec![0.0f32; cfg.dim],
                     neu1e: vec![0.0f32; cfg.dim],
                     target: vec![0.0f32; cfg.dim],
                     local_pairs: 0,
@@ -369,18 +277,9 @@ where
                     for sentence in sentences {
                         // Alpha from global progress, as in word2vec.c.
                         let done = words_done.fetch_add(sentence.len() as u64, Ordering::Relaxed);
-                        let progress = done as f32 / total_words as f32;
-                        let alpha = (cfg.alpha * (1.0 - progress)).max(cfg.min_alpha);
+                        let alpha = learning_rate(cfg, done as f32 / total_words as f32);
                         worker.train_sentence(
-                            sentence,
-                            cfg,
-                            alpha,
-                            syn0,
-                            syn1,
-                            sig,
-                            subsampler,
-                            table.as_ref(),
-                            tree.as_ref(),
+                            sentence, cfg, alpha, syn0, syn1, sig, subsampler, table,
                         );
                     }
                     pairs_trained.fetch_add(worker.local_pairs - flushed, Ordering::Relaxed);
@@ -389,14 +288,7 @@ where
                     // for the trace; the others just train.
                     if tid == 0 {
                         epoch_latency.record_duration(epoch_started.elapsed());
-                        report_epoch(
-                            epoch + 1,
-                            cfg,
-                            start,
-                            total_words,
-                            words_done,
-                            pairs_trained,
-                        );
+                        report_epoch(epoch + 1, cfg, start, total_words, words_done);
                         darkvec_obs::metrics::record_sample();
                     }
                 }
@@ -436,20 +328,26 @@ where
     (Embedding::from_parts(vocab, syn0.to_vec(), cfg.dim), stats)
 }
 
-/// Publishes one epoch boundary: gauges for alpha/progress/ETA, a debug
-/// log line, and the optional [`TrainObserver`] callback. Runs on the
-/// reporting worker only, once per epoch.
+/// The learning rate after `progress` (the fraction of all epochs' words
+/// already consumed): linear decay from `alpha`, floored at `min_alpha`,
+/// as in `word2vec.c`.
+#[inline]
+fn learning_rate(cfg: &TrainConfig, progress: f32) -> f32 {
+    (cfg.alpha * (1.0 - progress)).max(cfg.min_alpha)
+}
+
+/// Publishes one epoch boundary: gauges for alpha/progress/ETA and a
+/// debug log line. Runs on the reporting worker only, once per epoch.
 fn report_epoch(
     epoch: usize,
     cfg: &TrainConfig,
     start: Instant,
     total_words: u64,
     words_done: &AtomicU64,
-    pairs_trained: &AtomicU64,
 ) {
     let words = words_done.load(Ordering::Relaxed);
     let progress = (words as f32 / total_words as f32).min(1.0);
-    let alpha = (cfg.alpha * (1.0 - progress)).max(cfg.min_alpha);
+    let alpha = learning_rate(cfg, progress);
     let elapsed = start.elapsed();
     let eta = if progress > 0.0 {
         elapsed.mul_f64(f64::from((1.0 - progress) / progress))
@@ -464,33 +362,19 @@ fn report_epoch(
         cfg.epochs,
         progress * 100.0
     );
-    if let Some(observer) = &cfg.observer {
-        observer.on_epoch(&EpochStats {
-            epoch,
-            epochs: cfg.epochs,
-            alpha,
-            progress,
-            words_done: words,
-            pairs_trained: pairs_trained.load(Ordering::Relaxed),
-            elapsed,
-            eta,
-        });
-    }
 }
 
 /// Thread-local training state.
 struct Worker {
     rng: SmallRng,
     sen: Vec<TokenId>,
-    /// Skip-gram input row, copied out of `syn0` once per (input, centre)
-    /// pair. Within one pair `syn0[input]` is constant (the updates only
-    /// write `syn1`; the input-side gradient is applied to this snapshot
-    /// and published back at pair end), so the copy is exact — and it
-    /// keeps every per-pair vector op on plain slices where the SIMD
-    /// kernels apply.
+    /// Input row, copied out of `syn0` once per (input, centre) pair.
+    /// Within one pair `syn0[input]` is constant (the updates only write
+    /// `syn1`; the input-side gradient is applied to this snapshot and
+    /// published back at pair end), so the copy is exact — and it keeps
+    /// every per-pair vector op on plain slices where the SIMD kernels
+    /// apply.
     input: Vec<f32>,
-    /// CBOW context average.
-    neu1: Vec<f32>,
     /// Gradient accumulator for the input side.
     neu1e: Vec<f32>,
     /// Output-row snapshot: the `syn1` row under update, copied out once
@@ -513,8 +397,7 @@ impl Worker {
         syn1: &AtomicMatrix,
         sig: &SigmoidTable,
         subsampler: &SubSampler,
-        table: Option<&UnigramTable>,
-        tree: Option<&HuffmanTree>,
+        table: &UnigramTable,
     ) {
         self.sen.clear();
         let rng = &mut self.rng;
@@ -532,111 +415,45 @@ impl Worker {
             let radius = self.rng.random_range(1..=cfg.window);
             let lo = i.saturating_sub(radius);
             let hi = (i + radius + 1).min(self.sen.len());
-            match cfg.arch {
-                Arch::SkipGram => {
-                    for j in lo..hi {
-                        if j == i {
-                            continue;
-                        }
-                        // Input = context word, output = centre word
-                        // (the word2vec.c orientation).
-                        let input = self.sen[j] as usize;
-                        syn0.read_row(input, &mut self.input);
-                        self.neu1e.fill(0.0);
-                        match cfg.loss {
-                            Loss::NegativeSampling => ns_update(
-                                syn1,
-                                sig,
-                                table.expect("table built for NS"),
-                                &mut self.rng,
-                                &mut self.neu1e,
-                                &mut self.target,
-                                &self.input,
-                                center,
-                                cfg.negative,
-                                alpha,
-                            ),
-                            Loss::HierarchicalSoftmax => hs_update(
-                                syn1,
-                                sig,
-                                tree.expect("tree built for HS"),
-                                &mut self.neu1e,
-                                &mut self.target,
-                                &self.input,
-                                center,
-                                alpha,
-                            ),
-                        }
-                        // Apply the input-side gradient to the snapshot
-                        // and publish it — the same snapshot/store trade
-                        // as the output rows (exact single-threaded).
-                        darkvec_kernels::axpy(1.0, &self.neu1e, &mut self.input);
-                        syn0.write_row(input, &self.input);
-                        self.local_pairs += 1;
-                    }
+            for j in lo..hi {
+                if j == i {
+                    continue;
                 }
-                Arch::Cbow => {
-                    // Average the context window into neu1.
-                    let count = (hi - lo).saturating_sub(1);
-                    if count == 0 {
-                        continue;
-                    }
-                    self.neu1.fill(0.0);
-                    for j in lo..hi {
-                        if j != i {
-                            syn0.accumulate_row(self.sen[j] as usize, 1.0, &mut self.neu1);
-                        }
-                    }
-                    let inv = 1.0 / count as f32;
-                    for x in &mut self.neu1 {
-                        *x *= inv;
-                    }
-                    self.neu1e.fill(0.0);
-                    match cfg.loss {
-                        Loss::NegativeSampling => ns_update(
-                            syn1,
-                            sig,
-                            table.expect("table built for NS"),
-                            &mut self.rng,
-                            &mut self.neu1e,
-                            &mut self.target,
-                            &self.neu1,
-                            center,
-                            cfg.negative,
-                            alpha,
-                        ),
-                        Loss::HierarchicalSoftmax => hs_update(
-                            syn1,
-                            sig,
-                            tree.expect("tree built for HS"),
-                            &mut self.neu1e,
-                            &mut self.target,
-                            &self.neu1,
-                            center,
-                            alpha,
-                        ),
-                    }
-                    // Backpropagate the input gradient to every context
-                    // word (word2vec.c distributes neu1e undivided).
-                    for j in lo..hi {
-                        if j != i {
-                            syn0.row_add(self.sen[j] as usize, &self.neu1e);
-                        }
-                    }
-                    self.local_pairs += 1;
-                }
+                // Input = context word, output = centre word (the
+                // word2vec.c orientation).
+                let input = self.sen[j] as usize;
+                syn0.read_row(input, &mut self.input);
+                self.neu1e.fill(0.0);
+                ns_update(
+                    syn1,
+                    sig,
+                    table,
+                    &mut self.rng,
+                    &mut self.neu1e,
+                    &mut self.target,
+                    &self.input,
+                    center,
+                    cfg.negative,
+                    alpha,
+                );
+                // Apply the input-side gradient to the snapshot and
+                // publish it — the same snapshot/store trade as the output
+                // rows (exact single-threaded).
+                darkvec_kernels::axpy(1.0, &self.neu1e, &mut self.input);
+                syn0.write_row(input, &self.input);
+                self.local_pairs += 1;
             }
         }
     }
 }
 
 /// One positive + `negative` negative SGD updates against the unigram
-/// table. `input` is the input-side vector (a copy of the `syn0` row for
-/// skip-gram, the averaged context for CBOW); its gradient is accumulated
-/// into `neu1e`. `target_row` is scratch for the output-row snapshot:
-/// copying the `syn1` row out once lets the dot and the `neu1e`
-/// accumulation run through the packed SIMD kernels (which must not touch
-/// atomic cells), leaving only the final row write on the shared matrix.
+/// table. `input` is a copy of the input word's `syn0` row; its gradient
+/// is accumulated into `neu1e`. `target_row` is scratch for the
+/// output-row snapshot: copying the `syn1` row out once lets the dot and
+/// the `neu1e` accumulation run through the packed SIMD kernels (which
+/// must not touch atomic cells), leaving only the final row write on the
+/// shared matrix.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn ns_update(
@@ -665,34 +482,6 @@ fn ns_update(
         syn1.read_row(t, target_row);
         let f = darkvec_kernels::dot(target_row, input);
         let g = (label - sig.get(f)) * alpha;
-        darkvec_kernels::axpy(g, target_row, neu1e);
-        darkvec_kernels::axpy(g, input, target_row);
-        syn1.write_row(t, target_row);
-    }
-}
-
-/// One decision per Huffman node on `output`'s path. `input` is the
-/// input-side vector; its gradient is accumulated into `neu1e`.
-/// `target_row` is the output-row snapshot scratch (see [`ns_update`]).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn hs_update(
-    syn1: &AtomicMatrix,
-    sig: &SigmoidTable,
-    tree: &HuffmanTree,
-    neu1e: &mut [f32],
-    target_row: &mut [f32],
-    input: &[f32],
-    output: TokenId,
-    alpha: f32,
-) {
-    let code = tree.code(output);
-    for (&point, &bit) in code.points.iter().zip(&code.bits) {
-        let t = point as usize;
-        syn1.read_row(t, target_row);
-        let f = darkvec_kernels::dot(target_row, input);
-        // Label convention of word2vec.c: g = (1 - code - sigmoid).
-        let g = (1.0 - bit as f32 - sig.get(f)) * alpha;
         darkvec_kernels::axpy(g, target_row, neu1e);
         darkvec_kernels::axpy(g, input, target_row);
         syn1.write_row(t, target_row);
@@ -745,6 +534,17 @@ mod tests {
         }
     }
 
+    /// Warm start the way the window step does it: the corpus's own
+    /// vocabulary and a prior.
+    fn train_warm(
+        corpus: &[Vec<String>],
+        cfg: &TrainConfig,
+        prior: &Embedding<String>,
+    ) -> Embedding<String> {
+        let vocab = Vocab::build(corpus.iter().map(|s| s.iter()), cfg.min_count);
+        train_prepared(corpus, cfg, vocab, Some(prior)).0
+    }
+
     /// Mean intra-group minus inter-group cosine for the "a" group.
     fn separation(emb: &Embedding<String>) -> f32 {
         let a0 = "a0".to_string();
@@ -768,52 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn cbow_also_learns_group_structure() {
-        let corpus = two_group_corpus();
-        let cfg = TrainConfig {
-            arch: Arch::Cbow,
-            epochs: 25,
-            ..small_cfg()
-        };
-        let (emb, stats) = train(&corpus, &cfg);
-        assert!(stats.pairs_trained > 0);
-        assert!(
-            separation(&emb) > 0.3,
-            "CBOW separation {}",
-            separation(&emb)
-        );
-    }
-
-    #[test]
-    fn hierarchical_softmax_also_learns_group_structure() {
-        let corpus = two_group_corpus();
-        let cfg = TrainConfig {
-            loss: Loss::HierarchicalSoftmax,
-            ..small_cfg()
-        };
-        let (emb, stats) = train(&corpus, &cfg);
-        assert!(stats.pairs_trained > 0);
-        assert!(separation(&emb) > 0.3, "HS separation {}", separation(&emb));
-    }
-
-    #[test]
-    fn cbow_hs_combination_works() {
-        let corpus = two_group_corpus();
-        let cfg = TrainConfig {
-            arch: Arch::Cbow,
-            loss: Loss::HierarchicalSoftmax,
-            epochs: 25,
-            ..small_cfg()
-        };
-        let (emb, _) = train(&corpus, &cfg);
-        assert!(
-            separation(&emb) > 0.25,
-            "CBOW+HS separation {}",
-            separation(&emb)
-        );
-    }
-
-    #[test]
     fn most_similar_prefers_own_group() {
         let corpus = two_group_corpus();
         let (emb, _) = train(&corpus, &small_cfg());
@@ -828,18 +582,6 @@ mod tests {
     fn single_thread_training_is_deterministic() {
         let corpus = two_group_corpus();
         let cfg = small_cfg();
-        let (e1, _) = train(&corpus, &cfg);
-        let (e2, _) = train(&corpus, &cfg);
-        assert_eq!(e1.vectors(), e2.vectors());
-    }
-
-    #[test]
-    fn hs_single_thread_is_deterministic() {
-        let corpus = two_group_corpus();
-        let cfg = TrainConfig {
-            loss: Loss::HierarchicalSoftmax,
-            ..small_cfg()
-        };
         let (e1, _) = train(&corpus, &cfg);
         let (e2, _) = train(&corpus, &cfg);
         assert_eq!(e1.vectors(), e2.vectors());
@@ -928,40 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_receives_every_epoch() {
-        let corpus = two_group_corpus();
-        let collector = Arc::new(crate::observer::CollectingObserver::new());
-        let cfg = TrainConfig {
-            observer: Some(collector.clone()),
-            ..small_cfg()
-        };
-        let (_, stats) = train(&corpus, &cfg);
-        let seen = collector.epochs();
-        assert_eq!(seen.len(), cfg.epochs);
-        assert_eq!(seen.last().unwrap().epoch, cfg.epochs);
-        for w in seen.windows(2) {
-            assert!(w[0].words_done <= w[1].words_done, "progress is monotone");
-            assert!(w[0].alpha >= w[1].alpha, "alpha decays");
-        }
-        // Single-threaded: the final flush lands before the last callback.
-        assert_eq!(seen.last().unwrap().pairs_trained, stats.pairs_trained);
-        assert!(seen.last().unwrap().progress > 0.99);
-    }
-
-    #[test]
-    fn observer_does_not_change_results() {
-        let corpus = two_group_corpus();
-        let plain = small_cfg();
-        let observed = TrainConfig {
-            observer: Some(Arc::new(crate::observer::CollectingObserver::new())),
-            ..small_cfg()
-        };
-        let (e1, _) = train(&corpus, &plain);
-        let (e2, _) = train(&corpus, &observed);
-        assert_eq!(e1.vectors(), e2.vectors());
-    }
-
-    #[test]
     fn warm_start_with_disjoint_prior_equals_cold() {
         // A prior that shares no word with the corpus seeds nothing, so the
         // warm run must be bit-identical to the cold run.
@@ -970,7 +678,7 @@ mod tests {
         let prior_corpus = vec![vec!["x".to_string(), "y".to_string()]; 4];
         let (prior, _) = train(&prior_corpus, &cfg);
         let (cold, _) = train(&corpus, &cfg);
-        let (warm, _) = train_from(&corpus, &cfg, &prior);
+        let warm = train_warm(&corpus, &cfg, &prior);
         assert_eq!(cold.vectors(), warm.vectors());
     }
 
@@ -979,8 +687,8 @@ mod tests {
         let corpus = two_group_corpus();
         let cfg = small_cfg();
         let (prior, _) = train(&corpus, &cfg);
-        let (w1, _) = train_from(&corpus, &cfg, &prior);
-        let (w2, _) = train_from(&corpus, &cfg, &prior);
+        let w1 = train_warm(&corpus, &cfg, &prior);
+        let w2 = train_warm(&corpus, &cfg, &prior);
         assert_eq!(w1.vectors(), w2.vectors());
         // Seeding from a trained prior changes the init, hence the result.
         let (cold, _) = train(&corpus, &cfg);
@@ -1000,7 +708,7 @@ mod tests {
         let cfg = small_cfg();
         let (prior, _) = train(&prior_corpus, &cfg);
         assert!(prior.get(&"gone".to_string()).is_some());
-        let (warm, _) = train_from(&two_group_corpus(), &cfg, &prior);
+        let warm = train_warm(&two_group_corpus(), &cfg, &prior);
         assert!(warm.get(&"gone".to_string()).is_none());
         assert_eq!(warm.len(), 12);
     }
@@ -1014,23 +722,42 @@ mod tests {
             dim: 8,
             ..small_cfg()
         };
-        let _ = train_from(&corpus, &cfg, &prior);
+        let _ = train_warm(&corpus, &cfg, &prior);
     }
 
     #[test]
-    fn cbow_counts_one_interaction_per_center() {
-        let corpus = vec![vec!["a".to_string(), "b".to_string(), "c".to_string()]];
-        let cfg = TrainConfig {
-            arch: Arch::Cbow,
-            epochs: 1,
-            min_count: 1,
-            subsample: 0.0,
-            threads: 1,
-            window: 2,
-            dim: 4,
-            ..TrainConfig::default()
-        };
-        let (_, stats) = train(&corpus, &cfg);
-        assert_eq!(stats.pairs_trained, 3);
+    fn corpus_without_a_trainable_sentence_returns_the_initialised_rows() {
+        // Every sentence is a single token, so nothing survives encoding
+        // while the vocabulary is non-empty.
+        let corpus: Vec<Vec<String>> = ["a", "b", "a"]
+            .iter()
+            .map(|w| vec![w.to_string()])
+            .collect();
+        let cfg = small_cfg();
+        let (emb, stats) = train(&corpus, &cfg);
+        assert_eq!(emb.len(), 2);
+        assert_eq!(stats.corpus_tokens, 0);
+        assert_eq!(stats.pairs_trained, 0);
+        assert_eq!(
+            emb.vectors(),
+            AtomicMatrix::uniform_init(2, cfg.dim, cfg.seed).to_vec()
+        );
+    }
+
+    #[test]
+    fn learning_rate_starts_at_alpha_decays_and_floors_at_min_alpha() {
+        let cfg = small_cfg();
+        assert_eq!(learning_rate(&cfg, 0.0), cfg.alpha);
+        let mut last = f32::INFINITY;
+        for step in 0..=1000 {
+            let rate = learning_rate(&cfg, step as f32 / 1000.0);
+            assert!(rate <= last, "rate rose to {rate} at step {step}");
+            assert!(rate >= cfg.min_alpha, "rate {rate} under the floor");
+            last = rate;
+        }
+        assert_eq!(learning_rate(&cfg, 1.0), cfg.min_alpha);
+        // Progress past the end (the loop's unclamped fetch_add snapshot)
+        // stays on the floor.
+        assert_eq!(learning_rate(&cfg, 1.5), cfg.min_alpha);
     }
 }
