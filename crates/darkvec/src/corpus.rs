@@ -8,7 +8,7 @@
 //! "has marginal impact on performance").
 
 use crate::services::ServiceMap;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use darkvec_types::codec::Reader;
 use darkvec_types::{Ipv4, Trace, HOUR};
 
 /// Summary of a built corpus — the "Skip-grams" column of Table 3 comes
@@ -74,55 +74,43 @@ pub fn build_day_corpus(trace: &Trace, day: u64, services: &ServiceMap, dt: u64)
 }
 
 /// Serialises a corpus for the artifact cache ("DKVC" format, version 1).
-pub fn corpus_to_bytes(corpus: &[Vec<Ipv4>]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_slice(b"DKVC");
-    buf.put_u8(1);
-    buf.put_u32_le(corpus.len() as u32);
+pub fn corpus_to_bytes(corpus: &[Vec<Ipv4>]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(b"DKVC");
+    buf.push(1);
+    buf.extend_from_slice(&(corpus.len() as u32).to_le_bytes());
     for sentence in corpus {
-        buf.put_u32_le(sentence.len() as u32);
+        buf.extend_from_slice(&(sentence.len() as u32).to_le_bytes());
         for ip in sentence {
-            buf.put_u32_le(ip.0);
+            buf.extend_from_slice(&ip.0.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Inverse of [`corpus_to_bytes`]; fails cleanly on truncated or corrupt
 /// input.
-pub fn corpus_from_bytes(mut buf: impl Buf) -> Result<Vec<Vec<Ipv4>>, String> {
-    if buf.remaining() < 9 {
-        return Err("truncated corpus: missing header".to_string());
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != b"DKVC" {
+pub fn corpus_from_bytes(buf: &[u8]) -> Result<Vec<Vec<Ipv4>>, String> {
+    let mut r = Reader::new(buf);
+    if r.bytes(4)? != b"DKVC" {
         return Err("not a DKVC corpus file".to_string());
     }
-    let version = buf.get_u8();
+    let version = r.u8()?;
     if version != 1 {
         return Err(format!("unsupported DKVC version {version}"));
     }
-    let sentences = buf.get_u32_le() as usize;
     // Every sentence costs at least its 4-byte length prefix.
-    if buf.remaining() < sentences * 4 {
-        return Err("truncated corpus: header promises more sentences than remain".to_string());
-    }
-    let mut corpus = Vec::with_capacity(sentences);
+    let sentences = r.u32()?;
+    let mut corpus = Vec::with_capacity(r.count(sentences, 4)?);
     for _ in 0..sentences {
-        if buf.remaining() < 4 {
-            return Err("truncated corpus: missing sentence length".to_string());
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err("truncated corpus: sentence overruns buffer".to_string());
-        }
-        let mut sentence = Vec::with_capacity(len);
+        let len = r.u32()?;
+        let mut sentence = Vec::with_capacity(r.count(len, 4)?);
         for _ in 0..len {
-            sentence.push(Ipv4(buf.get_u32_le()));
+            sentence.push(Ipv4(r.u32()?));
         }
         corpus.push(sentence);
     }
+    r.finish()?;
     Ok(corpus)
 }
 
@@ -262,12 +250,12 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         bad[0] = b'X';
         assert!(corpus_from_bytes(&bad[..]).is_err());
         // A header promising far more sentences than the buffer holds must
         // fail without allocating for them.
-        let mut huge = bytes.to_vec();
+        let mut huge = bytes;
         huge[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(corpus_from_bytes(&huge[..]).is_err());
     }

@@ -4,7 +4,7 @@
 use crate::config::{DarkVecConfig, ServiceDef};
 use crate::corpus::{build_corpus, corpus_stats, CorpusStats};
 use crate::services::ServiceMap;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use darkvec_types::codec::Reader;
 use darkvec_types::{Ipv4, Trace};
 use darkvec_w2v::{count_skipgrams, train, Embedding, TrainStats};
 use std::path::Path;
@@ -45,67 +45,57 @@ impl TrainedModel {
     /// a property of a *run*, not of the artifact, and zeroing it keeps
     /// same-seed artifacts byte-identical for the cache determinism
     /// guarantee.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_slice(MODEL_MAGIC);
-        buf.put_u8(MODEL_VERSION);
-        buf.put_u64_le(self.config_hash);
-        buf.put_u64_le(self.skipgrams);
-        buf.put_u64_le(self.corpus.sentences as u64);
-        buf.put_u64_le(self.corpus.tokens);
-        buf.put_u64_le(self.corpus.max_len as u64);
-        buf.put_u64_le(self.train.vocab_size as u64);
-        buf.put_u64_le(self.train.corpus_tokens);
-        buf.put_u64_le(self.train.pairs_trained);
-        let services = self.services.to_bytes();
-        buf.put_u32_le(services.len() as u32);
-        buf.put_slice(&services);
-        let embedding = self.embedding.to_bytes();
-        buf.put_u32_le(embedding.len() as u32);
-        buf.put_slice(&embedding);
-        buf.freeze()
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(MODEL_MAGIC);
+        buf.push(MODEL_VERSION);
+        for v in [
+            self.config_hash,
+            self.skipgrams,
+            self.corpus.sentences as u64,
+            self.corpus.tokens,
+            self.corpus.max_len as u64,
+            self.train.vocab_size as u64,
+            self.train.corpus_tokens,
+            self.train.pairs_trained,
+        ] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        for section in [self.services.to_bytes(), self.embedding.to_bytes()] {
+            buf.extend_from_slice(&(section.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&section);
+        }
+        buf
     }
 
     /// Inverse of [`TrainedModel::to_bytes`]; fails cleanly on truncated
     /// or corrupt input.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, String> {
-        if buf.remaining() < 4 + 1 + 8 * 8 {
-            return Err("truncated model: missing header".to_string());
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MODEL_MAGIC {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(buf);
+        if r.bytes(4)? != MODEL_MAGIC {
             return Err("not a DKVM model file".to_string());
         }
-        let version = buf.get_u8();
+        let version = r.u8()?;
         if version != MODEL_VERSION {
             return Err(format!("unsupported DKVM version {version}"));
         }
-        let config_hash = buf.get_u64_le();
-        let skipgrams = buf.get_u64_le();
-        let sentences = buf.get_u64_le() as usize;
-        let tokens = buf.get_u64_le();
-        let max_len = buf.get_u64_le() as usize;
-        let vocab_size = buf.get_u64_le() as usize;
-        let corpus_tokens = buf.get_u64_le();
-        let pairs_trained = buf.get_u64_le();
-
-        let section = |what: &str, buf: &mut dyn Buf| -> Result<Vec<u8>, String> {
-            if buf.remaining() < 4 {
-                return Err(format!("truncated model: missing {what} length"));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(format!("truncated model: {what} overruns buffer"));
-            }
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            Ok(raw)
-        };
-        let services_raw = section("service map", &mut buf)?;
-        let embedding_raw = section("embedding", &mut buf)?;
-        let services = ServiceMap::from_bytes(&services_raw[..])?;
-        let embedding = Embedding::<Ipv4>::from_bytes(&embedding_raw[..])?;
+        let config_hash = r.u64()?;
+        let skipgrams = r.u64()?;
+        let sentences = r.u64()? as usize;
+        let tokens = r.u64()?;
+        let max_len = r.u64()? as usize;
+        let vocab_size = r.u64()? as usize;
+        let corpus_tokens = r.u64()?;
+        let pairs_trained = r.u64()?;
+        // Two u32-length-prefixed sections, decoded where they lie.
+        let len = r.u32()?;
+        let services = r.bytes(len as usize)?;
+        let len = r.u32()?;
+        let embedding = r.bytes(len as usize)?;
+        r.finish()?;
+        let services = ServiceMap::from_bytes(services).map_err(|e| format!("service map: {e}"))?;
+        let embedding =
+            Embedding::<Ipv4>::from_bytes(embedding).map_err(|e| format!("embedding: {e}"))?;
         Ok(TrainedModel {
             embedding,
             services,
@@ -392,7 +382,7 @@ mod tests {
             );
         }
         assert!(TrainedModel::from_bytes(&bytes[..]).is_ok());
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes;
         bad[0] = b'E';
         assert!(TrainedModel::from_bytes(&bad[..]).is_err());
     }

@@ -36,13 +36,15 @@
 //! replies omit it and new decoders default the training window to
 //! `(0, 0)`, so a v1 daemon still talks to a v2 client and vice versa.
 //!
-//! Decoding never panics: every length is validated against both the
-//! remaining payload and a hard cap before anything is read, and any
+//! Decoding never panics: payloads are read through the workspace's one
+//! length-checked [`Reader`], which fails a short read, sizes nothing
+//! from a count the payload cannot back, and rejects trailing bytes;
+//! this module adds only the hard caps and tags of its own format. Any
 //! malformed input comes back as a [`ProtoError`] the daemon turns into
 //! a protocol-level [`Response::Error`] reply (the property tests below
 //! feed arbitrary, truncated and oversized bytes through both codecs).
 
-use bytes::{Buf, BufMut};
+use darkvec_types::codec::{CodecError, Reader};
 use darkvec_types::{Ipv4, Protocol};
 use std::io::{self, Read, Write};
 
@@ -209,6 +211,15 @@ impl std::fmt::Display for ProtoError {
     }
 }
 
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => ProtoError::Truncated,
+            CodecError::TrailingBytes => ProtoError::TrailingBytes,
+        }
+    }
+}
+
 /// Why a frame could not be read off the wire.
 #[derive(Debug)]
 pub enum FrameError {
@@ -290,22 +301,22 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16);
     match req {
-        Request::Ping => buf.put_u8(0x01),
-        Request::Status => buf.put_u8(0x02),
+        Request::Ping => buf.push(0x01),
+        Request::Status => buf.push(0x02),
         Request::Classify { ip, ports, k } => {
             assert!(ports.len() <= MAX_PORTS, "too many ports in request");
-            buf.put_u8(0x03);
-            buf.put_u32_le(ip.0);
-            buf.put_u16_le(*k);
+            buf.push(0x03);
+            buf.extend_from_slice(&ip.0.to_le_bytes());
+            buf.extend_from_slice(&k.to_le_bytes());
             // lint: cast-ok(asserted ports.len() <= MAX_PORTS above, which fits u16)
-            buf.put_u16_le(ports.len() as u16);
+            buf.extend_from_slice(&(ports.len() as u16).to_le_bytes());
             for (port, proto) in ports {
-                buf.put_u16_le(*port);
-                buf.put_u8(proto.tag());
+                buf.extend_from_slice(&port.to_le_bytes());
+                buf.push(proto.tag());
             }
         }
-        Request::Shutdown => buf.put_u8(0x04),
-        Request::Alerts => buf.put_u8(0x05),
+        Request::Shutdown => buf.push(0x04),
+        Request::Alerts => buf.push(0x05),
     }
     buf
 }
@@ -313,30 +324,21 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 /// Decodes a request payload. Never panics; every malformed input maps
 /// to a [`ProtoError`].
 pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut buf = payload;
-    if buf.remaining() == 0 {
-        return Err(ProtoError::Empty);
-    }
-    let req = match buf.get_u8() {
+    let mut r = Reader::new(payload);
+    let req = match r.u8().map_err(|_| ProtoError::Empty)? {
         0x01 => Request::Ping,
         0x02 => Request::Status,
         0x03 => {
-            if buf.remaining() < 4 + 2 + 2 {
-                return Err(ProtoError::Truncated);
-            }
-            let ip = Ipv4(buf.get_u32_le());
-            let k = buf.get_u16_le();
-            let n = buf.get_u16_le() as usize;
-            if n > MAX_PORTS {
+            let ip = Ipv4(r.u32()?);
+            let k = r.u16()?;
+            let n = r.u16()?;
+            if usize::from(n) > MAX_PORTS {
                 return Err(ProtoError::TooLarge("port count"));
             }
-            if buf.remaining() < n * 3 {
-                return Err(ProtoError::Truncated);
-            }
-            let mut ports = Vec::with_capacity(n);
+            let mut ports = Vec::with_capacity(r.count(n, 3)?);
             for _ in 0..n {
-                let port = buf.get_u16_le();
-                let tag = buf.get_u8();
+                let port = r.u16()?;
+                let tag = r.u8()?;
                 let proto = Protocol::from_tag(tag).ok_or(ProtoError::BadProtocol(tag))?;
                 ports.push((port, proto));
             }
@@ -346,9 +348,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
         0x05 => Request::Alerts,
         op => return Err(ProtoError::BadOpcode(op)),
     };
-    if buf.remaining() > 0 {
-        return Err(ProtoError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(req)
 }
 
@@ -356,76 +356,76 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut buf = Vec::with_capacity(32);
     match resp {
-        Response::Pong => buf.put_u8(0x81),
+        Response::Pong => buf.push(0x81),
         Response::Status(s) => {
-            buf.put_u8(0x82);
-            buf.put_u8(s.ready as u8); // lint: cast-ok(bool as u8 is 0 or 1 by language definition)
-            buf.put_u64_le(s.version);
-            buf.put_u64_le(s.checksum);
-            buf.put_u32_le(s.vocab);
-            buf.put_u64_le(s.packets);
-            buf.put_u32_le(s.days);
-            buf.put_u32_le(s.retrains);
-            buf.put_u32_le(s.swaps);
-            buf.put_u64_le(s.queries);
-            buf.put_u64_le(s.errors);
+            buf.push(0x82);
+            buf.push(s.ready as u8); // lint: cast-ok(bool as u8 is 0 or 1 by language definition)
+            buf.extend_from_slice(&s.version.to_le_bytes());
+            buf.extend_from_slice(&s.checksum.to_le_bytes());
+            buf.extend_from_slice(&s.vocab.to_le_bytes());
+            buf.extend_from_slice(&s.packets.to_le_bytes());
+            buf.extend_from_slice(&s.days.to_le_bytes());
+            buf.extend_from_slice(&s.retrains.to_le_bytes());
+            buf.extend_from_slice(&s.swaps.to_le_bytes());
+            buf.extend_from_slice(&s.queries.to_le_bytes());
+            buf.extend_from_slice(&s.errors.to_le_bytes());
             // Versioned tail: decoders accept payloads both with and
             // without these 16 bytes (absent ⇒ window (0, 0)), so replies
             // from a pre-tail daemon still parse.
-            buf.put_u64_le(s.window_start);
-            buf.put_u64_le(s.window_end);
+            buf.extend_from_slice(&s.window_start.to_le_bytes());
+            buf.extend_from_slice(&s.window_end.to_le_bytes());
         }
         Response::Classify(c) => {
             assert!(c.neighbors.len() <= MAX_NEIGHBORS, "too many neighbours");
             assert!(c.label.len() <= u16::MAX as usize, "label too long");
-            buf.put_u8(0x83);
-            buf.put_u64_le(c.version);
-            buf.put_u64_le(c.checksum);
+            buf.push(0x83);
+            buf.extend_from_slice(&c.version.to_le_bytes());
+            buf.extend_from_slice(&c.checksum.to_le_bytes());
             // lint: cast-ok(asserted label.len() <= u16::MAX above)
-            buf.put_u16_le(c.label.len() as u16);
-            buf.put_slice(c.label.as_bytes());
-            buf.put_f32_le(c.confidence);
+            buf.extend_from_slice(&(c.label.len() as u16).to_le_bytes());
+            buf.extend_from_slice(c.label.as_bytes());
+            buf.extend_from_slice(&c.confidence.to_le_bytes());
             // lint: cast-ok(asserted neighbors.len() <= MAX_NEIGHBORS above, which fits u16)
-            buf.put_u16_le(c.neighbors.len() as u16);
+            buf.extend_from_slice(&(c.neighbors.len() as u16).to_le_bytes());
             for (ip, sim) in &c.neighbors {
-                buf.put_u32_le(ip.0);
-                buf.put_f32_le(*sim);
+                buf.extend_from_slice(&ip.0.to_le_bytes());
+                buf.extend_from_slice(&sim.to_le_bytes());
             }
         }
         Response::Error(msg) => {
             // Truncate rather than die: error text is advisory.
             let msg = &msg.as_bytes()[..msg.len().min(1024)];
-            buf.put_u8(0x84);
+            buf.push(0x84);
             // lint: cast-ok(msg truncated to at most 1024 bytes on the line above)
-            buf.put_u16_le(msg.len() as u16);
-            buf.put_slice(msg);
+            buf.extend_from_slice(&(msg.len() as u16).to_le_bytes());
+            buf.extend_from_slice(msg);
         }
-        Response::ShutdownAck => buf.put_u8(0x85),
+        Response::ShutdownAck => buf.push(0x85),
         Response::Alerts(alerts) => {
             // Truncate rather than die: the daemon bounds its alert buffer
             // already, so clipping here only defends against misuse.
             let alerts = &alerts[..alerts.len().min(MAX_ALERTS)];
-            buf.put_u8(0x86);
+            buf.push(0x86);
             // lint: cast-ok(sliced to at most MAX_ALERTS above, which fits u8)
-            buf.put_u8(alerts.len() as u8);
+            buf.push(alerts.len() as u8);
             for a in alerts {
-                buf.put_u64_le(a.lineage);
-                buf.put_u64_le(a.window_start);
-                buf.put_u64_le(a.window_end);
-                buf.put_u32_le(a.size);
+                buf.extend_from_slice(&a.lineage.to_le_bytes());
+                buf.extend_from_slice(&a.window_start.to_le_bytes());
+                buf.extend_from_slice(&a.window_end.to_le_bytes());
+                buf.extend_from_slice(&a.size.to_le_bytes());
                 let reg = clip(&a.regularity, MAX_ALERT_TEXT);
                 // lint: cast-ok(clip bounds reg to MAX_ALERT_TEXT bytes, which fits u8)
-                buf.put_u8(reg.len() as u8);
-                buf.put_slice(reg.as_bytes());
+                buf.push(reg.len() as u8);
+                buf.extend_from_slice(reg.as_bytes());
                 let ports = &a.top_ports[..a.top_ports.len().min(MAX_ALERT_PORTS)];
                 // lint: cast-ok(sliced to at most MAX_ALERT_PORTS above, which fits u8)
-                buf.put_u8(ports.len() as u8);
+                buf.push(ports.len() as u8);
                 for (name, share) in ports {
                     let name = clip(name, MAX_ALERT_TEXT);
                     // lint: cast-ok(clip bounds name to MAX_ALERT_TEXT bytes, which fits u8)
-                    buf.put_u8(name.len() as u8);
-                    buf.put_slice(name.as_bytes());
-                    buf.put_f32_le(*share);
+                    buf.push(name.len() as u8);
+                    buf.extend_from_slice(name.as_bytes());
+                    buf.extend_from_slice(&share.to_le_bytes());
                 }
             }
         }
@@ -446,78 +446,57 @@ fn clip(s: &str, max: usize) -> &str {
     &s[..end]
 }
 
+/// Reads a string of `len` bytes, which must not exceed `cap`.
+fn text(r: &mut Reader, len: usize, cap: usize, what: &'static str) -> Result<String, ProtoError> {
+    if len > cap {
+        return Err(ProtoError::TooLarge(what));
+    }
+    let raw = r.bytes(len)?;
+    std::str::from_utf8(raw)
+        .map(str::to_string)
+        .map_err(|_| ProtoError::BadUtf8)
+}
+
 /// Decodes a response payload. Never panics.
 pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut buf = payload;
-    if buf.remaining() == 0 {
-        return Err(ProtoError::Empty);
-    }
-    let resp = match buf.get_u8() {
+    let mut r = Reader::new(payload);
+    let resp = match r.u8().map_err(|_| ProtoError::Empty)? {
         0x81 => Response::Pong,
         0x82 => {
-            if buf.remaining() < 1 + 8 + 8 + 4 + 8 + 4 + 4 + 4 + 8 + 8 {
-                return Err(ProtoError::Truncated);
-            }
-            let ready = buf.get_u8() != 0;
-            let version = buf.get_u64_le();
-            let checksum = buf.get_u64_le();
-            let vocab = buf.get_u32_le();
-            let packets = buf.get_u64_le();
-            let days = buf.get_u32_le();
-            let retrains = buf.get_u32_le();
-            let swaps = buf.get_u32_le();
-            let queries = buf.get_u64_le();
-            let errors = buf.get_u64_le();
-            // Versioned tail (see the encoder): absent in old payloads.
-            let (window_start, window_end) = if buf.remaining() >= 16 {
-                (buf.get_u64_le(), buf.get_u64_le())
-            } else {
-                (0, 0)
+            let mut s = StatusReply {
+                ready: r.u8()? != 0,
+                version: r.u64()?,
+                checksum: r.u64()?,
+                vocab: r.u32()?,
+                packets: r.u64()?,
+                days: r.u32()?,
+                retrains: r.u32()?,
+                swaps: r.u32()?,
+                queries: r.u64()?,
+                errors: r.u64()?,
+                window_start: 0,
+                window_end: 0,
             };
-            Response::Status(StatusReply {
-                ready,
-                version,
-                checksum,
-                vocab,
-                packets,
-                days,
-                retrains,
-                swaps,
-                queries,
-                errors,
-                window_start,
-                window_end,
-            })
+            // Versioned tail (see the encoder): absent in old payloads.
+            if r.remaining() > 0 {
+                s.window_start = r.u64()?;
+                s.window_end = r.u64()?;
+            }
+            Response::Status(s)
         }
         0x83 => {
-            if buf.remaining() < 8 + 8 + 2 {
-                return Err(ProtoError::Truncated);
-            }
-            let version = buf.get_u64_le();
-            let checksum = buf.get_u64_le();
-            let label_len = buf.get_u16_le() as usize;
-            if buf.remaining() < label_len {
-                return Err(ProtoError::Truncated);
-            }
-            let label = String::from_utf8(buf.chunk()[..label_len].to_vec())
-                .map_err(|_| ProtoError::BadUtf8)?;
-            buf.advance(label_len);
-            if buf.remaining() < 4 + 2 {
-                return Err(ProtoError::Truncated);
-            }
-            let confidence = buf.get_f32_le();
-            let n = buf.get_u16_le() as usize;
-            if n > MAX_NEIGHBORS {
+            let version = r.u64()?;
+            let checksum = r.u64()?;
+            let label_len = r.u16()?;
+            let label = text(&mut r, label_len.into(), usize::from(u16::MAX), "label")?;
+            let confidence = r.f32()?;
+            let n = r.u16()?;
+            if usize::from(n) > MAX_NEIGHBORS {
                 return Err(ProtoError::TooLarge("neighbour count"));
             }
-            if buf.remaining() < n * 8 {
-                return Err(ProtoError::Truncated);
-            }
-            let mut neighbors = Vec::with_capacity(n);
+            let mut neighbors = Vec::with_capacity(r.count(n, 8)?);
             for _ in 0..n {
-                let ip = Ipv4(buf.get_u32_le());
-                let sim = buf.get_f32_le();
-                neighbors.push((ip, sim));
+                neighbors.push((Ipv4(r.u32()?), r.f32()?));
             }
             Response::Classify(ClassifyReply {
                 version,
@@ -528,73 +507,35 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             })
         }
         0x84 => {
-            if buf.remaining() < 2 {
-                return Err(ProtoError::Truncated);
-            }
-            let len = buf.get_u16_le() as usize;
-            if len > 1024 {
-                return Err(ProtoError::TooLarge("error message"));
-            }
-            if buf.remaining() < len {
-                return Err(ProtoError::Truncated);
-            }
-            let msg =
-                String::from_utf8(buf.chunk()[..len].to_vec()).map_err(|_| ProtoError::BadUtf8)?;
-            buf.advance(len);
-            Response::Error(msg)
+            let len = r.u16()?;
+            Response::Error(text(&mut r, len.into(), 1024, "error message")?)
         }
         0x85 => Response::ShutdownAck,
         0x86 => {
-            if buf.remaining() < 1 {
-                return Err(ProtoError::Truncated);
-            }
-            let n = buf.get_u8() as usize;
-            if n > MAX_ALERTS {
+            let n = r.u8()?;
+            if usize::from(n) > MAX_ALERTS {
                 return Err(ProtoError::TooLarge("alert count"));
             }
-            let mut alerts = Vec::with_capacity(n);
+            // An alert is at least 30 bytes: three u64, a u32 size and
+            // two u8 lengths.
+            let mut alerts = Vec::with_capacity(r.count(n, 30)?);
             for _ in 0..n {
-                if buf.remaining() < 8 + 8 + 8 + 4 + 1 {
-                    return Err(ProtoError::Truncated);
-                }
-                let lineage = buf.get_u64_le();
-                let window_start = buf.get_u64_le();
-                let window_end = buf.get_u64_le();
-                let size = buf.get_u32_le();
-                let reg_len = buf.get_u8() as usize;
-                if reg_len > MAX_ALERT_TEXT {
-                    return Err(ProtoError::TooLarge("regularity text"));
-                }
-                if buf.remaining() < reg_len {
-                    return Err(ProtoError::Truncated);
-                }
-                let regularity = String::from_utf8(buf.chunk()[..reg_len].to_vec())
-                    .map_err(|_| ProtoError::BadUtf8)?;
-                buf.advance(reg_len);
-                if buf.remaining() < 1 {
-                    return Err(ProtoError::Truncated);
-                }
-                let nports = buf.get_u8() as usize;
-                if nports > MAX_ALERT_PORTS {
+                let lineage = r.u64()?;
+                let window_start = r.u64()?;
+                let window_end = r.u64()?;
+                let size = r.u32()?;
+                let reg_len = r.u8()?;
+                let regularity = text(&mut r, reg_len.into(), MAX_ALERT_TEXT, "regularity text")?;
+                let nports = r.u8()?;
+                if usize::from(nports) > MAX_ALERT_PORTS {
                     return Err(ProtoError::TooLarge("alert port count"));
                 }
-                let mut top_ports = Vec::with_capacity(nports);
+                // A port is at least its u8 length and f32 share.
+                let mut top_ports = Vec::with_capacity(r.count(nports, 5)?);
                 for _ in 0..nports {
-                    if buf.remaining() < 1 {
-                        return Err(ProtoError::Truncated);
-                    }
-                    let plen = buf.get_u8() as usize;
-                    if plen > MAX_ALERT_TEXT {
-                        return Err(ProtoError::TooLarge("alert port text"));
-                    }
-                    if buf.remaining() < plen + 4 {
-                        return Err(ProtoError::Truncated);
-                    }
-                    let name = String::from_utf8(buf.chunk()[..plen].to_vec())
-                        .map_err(|_| ProtoError::BadUtf8)?;
-                    buf.advance(plen);
-                    let share = buf.get_f32_le();
-                    top_ports.push((name, share));
+                    let plen = r.u8()?;
+                    let name = text(&mut r, plen.into(), MAX_ALERT_TEXT, "alert port text")?;
+                    top_ports.push((name, r.f32()?));
                 }
                 alerts.push(AlertInfo {
                     lineage,
@@ -609,9 +550,7 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
         }
         op => return Err(ProtoError::BadOpcode(op)),
     };
-    if buf.remaining() > 0 {
-        return Err(ProtoError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(resp)
 }
 

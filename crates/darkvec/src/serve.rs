@@ -24,9 +24,11 @@
 //!   from the other's cache directory.
 //! * **Acceptor** — a non-blocking TCP accept loop (same poll pattern as
 //!   `darkvec_obs::serve::MetricsServer`); each connection gets a thread
-//!   speaking the length-prefixed [`crate::protocol`]. Malformed frames,
-//!   mid-frame disconnects and slow-loris stalls are logged, counted in
-//!   `serve.errors`, and never take the daemon down.
+//!   speaking the length-prefixed [`crate::protocol`], up to
+//!   [`MAX_CONNECTIONS`] live at once. A connection past the cap gets one
+//!   `Error` frame and is closed, counted in `serve.rejected`. Malformed
+//!   frames, mid-frame disconnects and slow-loris stalls are logged,
+//!   counted in `serve.errors`, and never take the daemon down.
 //!
 //! Labels are derived from packet fingerprints observed in the training
 //! window (senders with a Mirai-fingerprinted probe vs. unknown), so the
@@ -58,7 +60,7 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -292,7 +294,17 @@ pub struct DaemonStats {
     pub queries: u64,
     /// Faults survived (protocol, transport, artifact, ingest).
     pub errors: u64,
+    /// Client connections open now.
+    pub connections: u64,
+    /// Connections refused because [`MAX_CONNECTIONS`] were open.
+    pub rejected: u64,
 }
+
+/// Cap on live client connections. Each holds a thread, and an idle one
+/// holds it until the peer hangs up (the read timeout runs only inside a
+/// frame), so without a cap N idle sockets would pin N threads. No
+/// client in this repository holds more than a handful.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// State shared between the daemon's threads.
 struct Shared {
@@ -313,6 +325,8 @@ struct Shared {
     swap_count: AtomicU64,
     queries: AtomicU64,
     errors: AtomicU64,
+    connections: AtomicUsize,
+    rejected: AtomicU64,
 }
 
 impl Shared {
@@ -426,6 +440,8 @@ impl Daemon {
             swap_count: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
+            rejected: AtomicU64::new(0),
         });
         let cache = Arc::new(cache);
         let mut threads = Vec::new();
@@ -498,6 +514,8 @@ impl Daemon {
             swaps: s.swap_count.load(Ordering::Relaxed),
             queries: s.queries.load(Ordering::Relaxed),
             errors: s.errors.load(Ordering::Relaxed),
+            connections: s.connections.load(Ordering::SeqCst) as u64,
+            rejected: s.rejected.load(Ordering::Relaxed),
         }
     }
 
@@ -1032,21 +1050,46 @@ fn build_centroids(
         .collect()
 }
 
+/// A connection's claim on one of the [`MAX_CONNECTIONS`] slots,
+/// released when its thread ends, however it ends.
+struct ConnSlot(Arc<Shared>);
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// The acceptor thread: non-blocking accept with a shutdown poll, one
-/// thread per connection.
+/// thread per connection up to [`MAX_CONNECTIONS`]. Only this thread
+/// takes slots, so checking the count and then taking one cannot race
+/// past the cap.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         match listener.accept() {
-            Ok((stream, peer)) => {
+            Ok((mut stream, peer)) => {
+                if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    // Not a fault: the daemon is doing what it should.
+                    shared.rejected.fetch_add(1, Ordering::Relaxed);
+                    darkvec_obs::metrics::counter("serve.rejected").add(1);
+                    darkvec_obs::debug!("serve: refused {peer}: connection limit");
+                    let reply = encode_response(&Response::Error(format!(
+                        "connection limit of {MAX_CONNECTIONS} reached"
+                    )));
+                    let _ = write_frame(&mut stream, &reply);
+                    continue;
+                }
                 darkvec_obs::metrics::counter("serve.connections").add(1);
                 darkvec_obs::debug!("serve: connection from {peer}");
-                let shared = Arc::clone(shared);
+                shared.connections.fetch_add(1, Ordering::SeqCst);
+                let slot = ConnSlot(Arc::clone(shared));
+                // A failed spawn drops the closure and with it the slot.
                 let _ = std::thread::Builder::new()
                     .name("serve-conn".into())
-                    .spawn(move || handle_conn(&shared, stream));
+                    .spawn(move || handle_conn(&slot.0, stream));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));

@@ -11,7 +11,7 @@
 //!   (plus ICMP, which Figure 3 treats as its own service), with the three
 //!   IANA ranges as catch-alls.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use darkvec_types::codec::Reader;
 use darkvec_types::stats::Counter;
 use darkvec_types::{PortKey, Protocol};
 use std::collections::HashMap;
@@ -267,26 +267,25 @@ impl ServiceMap {
     /// Serialises the map into a canonical byte form: exact entries are
     /// sorted by `(port, protocol)`, so equal maps always produce equal
     /// bytes — which is what the artifact cache keys hash.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u32_le(self.names.len() as u32);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&(self.names.len() as u32).to_le_bytes());
         for name in &self.names {
-            let b = name.as_bytes();
-            buf.put_u16_le(b.len() as u16);
-            buf.put_slice(b);
+            buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            buf.extend_from_slice(name.as_bytes());
         }
         let mut entries: Vec<(&PortKey, &ServiceId)> = self.exact.iter().collect();
         entries.sort_by_key(|(k, _)| (k.port, k.proto.tag()));
-        buf.put_u32_le(entries.len() as u32);
+        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for (k, &id) in entries {
-            buf.put_u16_le(k.port);
-            buf.put_u8(k.proto.tag());
-            buf.put_u32_le(id as u32);
+            buf.extend_from_slice(&k.port.to_le_bytes());
+            buf.push(k.proto.tag());
+            buf.extend_from_slice(&(id as u32).to_le_bytes());
         }
         match self.fallback {
             Fallback::Single(id) => {
-                buf.put_u8(0);
-                buf.put_u32_le(id as u32);
+                buf.push(0);
+                buf.extend_from_slice(&(id as u32).to_le_bytes());
             }
             Fallback::Iana {
                 system,
@@ -294,78 +293,56 @@ impl ServiceMap {
                 ephemeral,
                 icmp,
             } => {
-                buf.put_u8(1);
-                buf.put_u32_le(system as u32);
-                buf.put_u32_le(user as u32);
-                buf.put_u32_le(ephemeral as u32);
-                buf.put_u32_le(icmp as u32);
+                buf.push(1);
+                for id in [system, user, ephemeral, icmp] {
+                    buf.extend_from_slice(&(id as u32).to_le_bytes());
+                }
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Inverse of [`ServiceMap::to_bytes`]; fails cleanly on truncated or
     /// corrupt input.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, String> {
-        fn need(buf: &impl Buf, n: usize) -> Result<(), String> {
-            if buf.remaining() < n {
-                Err(format!(
-                    "truncated service map: need {n} bytes, {} remain",
-                    buf.remaining()
-                ))
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 4)?;
-        let n_names = buf.get_u32_le() as usize;
-        let mut names = Vec::with_capacity(n_names.min(1 << 16));
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(buf);
+        // Each name is at least its u16 length.
+        let n_names = r.u32()?;
+        let mut names = Vec::with_capacity(r.count(n_names, 2)?);
         for _ in 0..n_names {
-            need(&buf, 2)?;
-            let len = buf.get_u16_le() as usize;
-            need(&buf, len)?;
-            let mut raw = vec![0u8; len];
-            buf.copy_to_slice(&mut raw);
-            names.push(String::from_utf8(raw).map_err(|e| format!("bad service name: {e}"))?);
+            let len = r.u16()?;
+            let raw = r.bytes(len.into())?;
+            let name = std::str::from_utf8(raw).map_err(|e| format!("bad service name: {e}"))?;
+            names.push(name.to_string());
         }
-        need(&buf, 4)?;
-        let n_exact = buf.get_u32_le() as usize;
-        let mut exact = HashMap::with_capacity(n_exact.min(1 << 20));
-        for _ in 0..n_exact {
-            need(&buf, 7)?;
-            let port = buf.get_u16_le();
-            let proto = Protocol::from_tag(buf.get_u8())
-                .ok_or_else(|| "bad protocol tag in service map".to_string())?;
-            let id = buf.get_u32_le() as ServiceId;
-            if id >= names.len() {
-                return Err(format!("service id {id} out of range"));
-            }
-            exact.insert(PortKey { port, proto }, id);
-        }
-        need(&buf, 1)?;
-        let check = |id: u32| -> Result<ServiceId, String> {
-            if (id as usize) < names.len() {
-                Ok(id as ServiceId)
+        let id = |r: &mut Reader| -> Result<ServiceId, String> {
+            let id = r.u32()? as ServiceId;
+            if id < names.len() {
+                Ok(id)
             } else {
-                Err(format!("fallback service id {id} out of range"))
+                Err(format!("service id {id} out of range"))
             }
         };
-        let fallback = match buf.get_u8() {
-            0 => {
-                need(&buf, 4)?;
-                Fallback::Single(check(buf.get_u32_le())?)
-            }
-            1 => {
-                need(&buf, 16)?;
-                Fallback::Iana {
-                    system: check(buf.get_u32_le())?,
-                    user: check(buf.get_u32_le())?,
-                    ephemeral: check(buf.get_u32_le())?,
-                    icmp: check(buf.get_u32_le())?,
-                }
-            }
+        // Each exact entry is a u16 port, a u8 protocol tag and a u32 id.
+        let n_exact = r.u32()?;
+        let mut exact = HashMap::with_capacity(r.count(n_exact, 7)?);
+        for _ in 0..n_exact {
+            let port = r.u16()?;
+            let proto = Protocol::from_tag(r.u8()?)
+                .ok_or_else(|| "bad protocol tag in service map".to_string())?;
+            exact.insert(PortKey { port, proto }, id(&mut r)?);
+        }
+        let fallback = match r.u8()? {
+            0 => Fallback::Single(id(&mut r)?),
+            1 => Fallback::Iana {
+                system: id(&mut r)?,
+                user: id(&mut r)?,
+                ephemeral: id(&mut r)?,
+                icmp: id(&mut r)?,
+            },
             t => return Err(format!("bad fallback tag {t} in service map")),
         };
+        r.finish()?;
         Ok(ServiceMap {
             names,
             exact,

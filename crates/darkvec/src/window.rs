@@ -19,9 +19,9 @@ use crate::pipeline::TrainedModel;
 use crate::services::ServiceMap;
 use crate::shard::MergedCorpus;
 use crate::unsupervised::{cluster_embedding, cluster_embedding_with, ClusterConfig, Clustering};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use darkvec_ml::ann::knn_all_with;
 use darkvec_ml::knn::Neighbor;
+use darkvec_types::codec::Reader;
 use darkvec_types::{Ipv4, Timestamp, Trace, DAY};
 use darkvec_w2v::{count_skipgrams, train_prepared, Embedding, TrainConfig};
 use std::time::Instant;
@@ -44,7 +44,7 @@ impl Artifacts<'_> {
         kind: &str,
         key: u64,
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
-        encode: impl FnOnce(&T) -> Bytes,
+        encode: impl FnOnce(&T) -> Vec<u8>,
         build: impl FnOnce() -> T,
     ) -> (T, bool) {
         if let Some(raw) = self.cache.and_then(|c| c.load(kind, key)) {
@@ -73,7 +73,7 @@ impl Artifacts<'_> {
         self.load_or_build(
             "corpus",
             key,
-            |raw| corpus_from_bytes(raw),
+            corpus_from_bytes,
             |corpus| corpus_to_bytes(corpus),
             || build_day_corpus(trace, day, services, dt),
         )
@@ -332,54 +332,46 @@ pub fn window_observations(
 
 /// Serialises k′-NN lists for the artifact cache: a u32 row count, then
 /// per row a u32 length and `(u32 index, f32 similarity)` pairs, all LE.
-fn neighbors_to_bytes(neighbors: &[Vec<Neighbor>]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    buf.put_u32_le(neighbors.len() as u32);
+fn neighbors_to_bytes(neighbors: &[Vec<Neighbor>]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    buf.extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
     for row in neighbors {
-        buf.put_u32_le(row.len() as u32);
+        buf.extend_from_slice(&(row.len() as u32).to_le_bytes());
         for nb in row {
-            buf.put_u32_le(nb.index as u32);
-            buf.put_f32_le(nb.similarity);
+            buf.extend_from_slice(&(nb.index as u32).to_le_bytes());
+            buf.extend_from_slice(&nb.similarity.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Inverse of [`neighbors_to_bytes`] for an embedding of `rows` rows.
-/// Fails on truncated input, and on lists that would panic the graph
-/// build or poison its weights: not one list per row, an index out of
-/// range, a non-finite similarity.
-fn neighbors_from_bytes(mut buf: &[u8], rows: usize) -> Result<Vec<Vec<Neighbor>>, String> {
-    if buf.remaining() < 4 {
-        return Err("truncated neighbour lists: missing header".to_string());
-    }
-    let listed = buf.get_u32_le() as usize;
-    if listed != rows {
+/// Fails on truncated input or trailing bytes, and on lists that would
+/// panic the graph build or poison its weights: not one list per row, an
+/// index out of range, a non-finite similarity.
+fn neighbors_from_bytes(buf: &[u8], rows: usize) -> Result<Vec<Vec<Neighbor>>, String> {
+    let mut r = Reader::new(buf);
+    let listed = r.u32()?;
+    if listed as usize != rows {
         return Err(format!("{listed} neighbour lists for {rows} rows"));
     }
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(r.count(listed, 4)?);
     for _ in 0..rows {
-        if buf.remaining() < 4 {
-            return Err("truncated neighbour lists: missing row length".to_string());
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() / 8 < len {
-            return Err("truncated neighbour lists: row overruns buffer".to_string());
-        }
-        let row: Vec<Neighbor> = (0..len)
-            .map(|_| Neighbor {
-                index: buf.get_u32_le() as usize,
-                similarity: buf.get_f32_le(),
-            })
-            .collect();
-        if row
-            .iter()
-            .any(|nb| nb.index >= rows || !nb.similarity.is_finite())
-        {
-            return Err("neighbour index out of range or similarity not finite".to_string());
+        let len = r.u32()?;
+        let mut row = Vec::with_capacity(r.count(len, 8)?);
+        for _ in 0..len {
+            let nb = Neighbor {
+                index: r.u32()? as usize,
+                similarity: r.f32()?,
+            };
+            if nb.index >= rows || !nb.similarity.is_finite() {
+                return Err("neighbour index out of range or similarity not finite".to_string());
+            }
+            row.push(nb);
         }
         out.push(row);
     }
+    r.finish()?;
     Ok(out)
 }
 
@@ -408,11 +400,24 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
+        let mut longer = bytes.clone();
+        longer.push(0);
+        assert!(neighbors_from_bytes(&longer, 3).is_err(), "appended byte");
+        // Each row's u32 length, lowered by one.
+        for at in [4, 24, 28] {
+            let mut bent = bytes.clone();
+            let len = u32::from_le_bytes(bent[at..at + 4].try_into().unwrap());
+            bent[at..at + 4].copy_from_slice(&len.wrapping_sub(1).to_le_bytes());
+            assert!(
+                neighbors_from_bytes(&bent, 3).is_err(),
+                "row length at {at} lowered"
+            );
+        }
     }
 
     #[test]
     fn neighbor_bytes_reject_lists_that_would_break_the_graph() {
-        let bytes = neighbors_to_bytes(&lists()).to_vec();
+        let bytes = neighbors_to_bytes(&lists());
         // Another row count than the embedding's.
         assert!(neighbors_from_bytes(&bytes, 4).is_err());
         // The first neighbour index sits after the row count and row 0's

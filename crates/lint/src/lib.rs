@@ -94,6 +94,7 @@ impl LintConfig {
                 "crates/darkvec/src/cache.rs".into(),
                 "crates/darkvec/src/window.rs".into(),
                 "crates/obs/src/serve.rs".into(),
+                "crates/types/src/codec.rs".into(),
             ],
             determinism_modules: vec![
                 "crates/darkvec/src/cache.rs".into(),
@@ -104,7 +105,10 @@ impl LintConfig {
                 "crates/darkvec/src/window.rs".into(),
                 "crates/obs/src/manifest.rs".into(),
             ],
-            cast_modules: vec!["crates/darkvec/src/protocol.rs".into()],
+            cast_modules: vec![
+                "crates/darkvec/src/protocol.rs".into(),
+                "crates/types/src/codec.rs".into(),
+            ],
         }
     }
 

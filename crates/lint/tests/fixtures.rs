@@ -202,6 +202,16 @@ fn dv006_widening_casts_are_clean() {
 }
 
 #[test]
+fn the_codec_reader_is_a_daemon_and_a_cast_module() {
+    // Every decoder of untrusted bytes reads through it.
+    let src = "fn f(v: &[u8]) -> u16 {\n    v.first().copied().unwrap() as u16\n}\n";
+    assert_eq!(
+        rules_hit("crates/types/src/codec.rs", src),
+        ["DV002", "DV006"]
+    );
+}
+
+#[test]
 fn dv006_does_not_apply_outside_cast_modules() {
     let src = "fn f(v: &[u8]) -> u16 {\n    v.len() as u16\n}\n";
     assert!(rules_hit("crates/x/src/other.rs", src).is_empty());

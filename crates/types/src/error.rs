@@ -22,7 +22,8 @@ pub enum Error {
         /// Explanation of the problem.
         reason: String,
     },
-    /// A binary trace buffer was truncated or had a bad magic/version.
+    /// A binary trace buffer was truncated, had trailing bytes or a bad
+    /// magic/version.
     BadBinary(String),
     /// Underlying I/O failure.
     Io(std::io::Error),
@@ -45,6 +46,12 @@ impl std::error::Error for Error {
             Error::Io(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<crate::codec::CodecError> for Error {
+    fn from(e: crate::codec::CodecError) -> Self {
+        Error::BadBinary(e.to_string())
     }
 }
 

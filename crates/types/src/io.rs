@@ -5,17 +5,17 @@
 //! * **CSV** — the shape of the anonymised dataset the paper releases
 //!   (`timestamp,src,dst_port,proto,fingerprint`), human-inspectable and
 //!   diff-friendly;
-//! * **binary** — a length-prefixed little-endian format built on
-//!   [`bytes`], ~4x smaller and ~20x faster to load, used to cache the
-//!   simulator output between experiments.
+//! * **binary** — a length-prefixed little-endian format ("DKVT"), ~4x
+//!   smaller and ~20x faster to load, used to cache the simulator output
+//!   between experiments. It decodes through [`crate::codec::Reader`].
 
+use crate::codec::Reader;
 use crate::error::{Error, Result};
 use crate::ip::Ipv4;
 use crate::packet::{Fingerprint, Packet};
 use crate::port::Protocol;
 use crate::time::Timestamp;
 use crate::trace::Trace;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
@@ -88,55 +88,43 @@ pub fn read_csv<R: Read>(input: R) -> Result<Trace> {
 }
 
 /// Encodes a trace into the binary format.
-pub fn to_bytes(trace: &Trace) -> Bytes {
+pub fn to_bytes(trace: &Trace) -> Vec<u8> {
     // 16 bytes per packet: u64 ts + u32 src + u16 port + u8 proto + u8 fp.
-    let mut buf = BytesMut::with_capacity(16 + trace.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u64_le(trace.len() as u64);
+    let mut buf = Vec::with_capacity(16 + trace.len() * 16);
+    buf.extend_from_slice(MAGIC);
+    buf.push(VERSION);
+    buf.extend_from_slice(&(trace.len() as u64).to_le_bytes());
     for p in trace.packets() {
-        buf.put_u64_le(p.ts.0);
-        buf.put_u32_le(p.src.0);
-        buf.put_u16_le(p.dst_port);
-        buf.put_u8(p.proto.tag());
-        buf.put_u8(match p.fingerprint {
+        buf.extend_from_slice(&p.ts.0.to_le_bytes());
+        buf.extend_from_slice(&p.src.0.to_le_bytes());
+        buf.extend_from_slice(&p.dst_port.to_le_bytes());
+        buf.push(p.proto.tag());
+        buf.push(match p.fingerprint {
             Fingerprint::None => 0,
             Fingerprint::Mirai => 1,
         });
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a trace from the binary format.
-pub fn from_bytes(mut buf: impl Buf) -> Result<Trace> {
+pub fn from_bytes(buf: &[u8]) -> Result<Trace> {
     let err = |msg: &str| Error::BadBinary(msg.to_string());
-    if buf.remaining() < 13 {
-        return Err(err("truncated header"));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut r = Reader::new(buf);
+    if r.bytes(4)? != MAGIC {
         return Err(err("bad magic"));
     }
-    if buf.get_u8() != VERSION {
+    if r.u8()? != VERSION {
         return Err(err("unsupported version"));
     }
-    // Untrusted count: a wrapped `n * 16` would pass the length check
-    // and then overflow `Vec::with_capacity`.
-    let n = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
-    let body = n
-        .checked_mul(16)
-        .ok_or_else(|| err("packet count overflows"))?;
-    if buf.remaining() < body {
-        return Err(err("truncated body"));
-    }
-    let mut packets = Vec::with_capacity(n);
+    let n = r.u64()?;
+    let mut packets = Vec::with_capacity(r.count(n, 16)?);
     for _ in 0..n {
-        let ts = Timestamp(buf.get_u64_le());
-        let src = Ipv4(buf.get_u32_le());
-        let dst_port = buf.get_u16_le();
-        let proto = Protocol::from_tag(buf.get_u8()).ok_or_else(|| err("bad protocol tag"))?;
-        let fingerprint = match buf.get_u8() {
+        let ts = Timestamp(r.u64()?);
+        let src = Ipv4(r.u32()?);
+        let dst_port = r.u16()?;
+        let proto = Protocol::from_tag(r.u8()?).ok_or_else(|| err("bad protocol tag"))?;
+        let fingerprint = match r.u8()? {
             0 => Fingerprint::None,
             1 => Fingerprint::Mirai,
             _ => return Err(err("bad fingerprint tag")),
@@ -149,6 +137,7 @@ pub fn from_bytes(mut buf: impl Buf) -> Result<Trace> {
             fingerprint,
         });
     }
+    r.finish()?;
     Ok(Trace::new(packets))
 }
 
@@ -242,7 +231,7 @@ mod tests {
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let mut bytes = to_bytes(&sample()).to_vec();
+        let mut bytes = to_bytes(&sample());
         bytes[0] = b'X';
         assert!(from_bytes(&bytes[..]).is_err());
     }

@@ -18,11 +18,14 @@
 //! * [`stats`] — ECDFs, top-k counters and ranking helpers used by the
 //!   dataset-overview figures;
 //! * [`io`] — CSV and length-prefixed binary trace serialisation;
+//! * [`codec`] — the length-checked [`codec::Reader`] every binary
+//!   decoder in the workspace reads through;
 //! * [`anonymize`] — prefix-preserving (Crypto-PAn style) source-address
 //!   anonymisation for dataset release, as the paper does for its
 //!   published traces.
 
 pub mod anonymize;
+pub mod codec;
 pub mod error;
 pub mod io;
 pub mod ip;

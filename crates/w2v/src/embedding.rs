@@ -1,9 +1,9 @@
 //! The trained embedding: a vocabulary plus one dense vector per word.
 
 use crate::vocab::{TokenId, Vocab};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use darkvec_ml::knn::AllRowsKnn;
 use darkvec_ml::vectors::Matrix;
+use darkvec_types::codec::Reader;
 use std::fmt::Display;
 use std::hash::Hash;
 use std::path::Path;
@@ -204,77 +204,53 @@ const VERSION: u8 = 1;
 
 impl<W: Eq + Hash + Clone + Ord + Display + FromStr> Embedding<W> {
     /// Encodes the embedding to bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.len() * (self.dim * 4 + 16));
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32_le(self.len() as u32);
-        buf.put_u32_le(self.dim as u32);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16 + self.len() * (self.dim * 4 + 16));
+        buf.extend_from_slice(MAGIC);
+        buf.push(VERSION);
+        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.dim as u32).to_le_bytes());
         for id in 0..self.len() as TokenId {
             let w = self.vocab.word(id).to_string();
-            let bytes = w.as_bytes();
-            buf.put_u16_le(bytes.len() as u16);
-            buf.put_slice(bytes);
-            buf.put_u64_le(self.vocab.count(id));
+            buf.extend_from_slice(&(w.len() as u16).to_le_bytes());
+            buf.extend_from_slice(w.as_bytes());
+            buf.extend_from_slice(&self.vocab.count(id).to_le_bytes());
             for &v in self.row(id) {
-                buf.put_f32_le(v);
+                buf.extend_from_slice(&v.to_le_bytes());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes an embedding from bytes produced by [`Embedding::to_bytes`].
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, String> {
-        if buf.remaining() < 13 {
-            return Err("truncated header".into());
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
+        let mut r = Reader::new(buf);
+        if r.bytes(4)? != MAGIC {
             return Err("bad magic".into());
         }
-        if buf.get_u8() != VERSION {
+        if r.u8()? != VERSION {
             return Err("unsupported version".into());
         }
-        let n = buf.get_u32_le() as usize;
-        let dim = buf.get_u32_le() as usize;
-        // Plausibility before allocation: every record is at least
-        // 2 (length prefix) + 8 (count) + dim*4 bytes, so a corrupt header
-        // cannot demand more memory than the buffer could possibly encode.
-        let min_record = (dim as u64)
-            .checked_mul(4)
-            .and_then(|v| v.checked_add(10))
-            .ok_or("implausible dimension")?;
-        let need = (n as u64)
-            .checked_mul(min_record)
-            .ok_or("implausible record count")?;
-        if need > buf.remaining() as u64 {
-            return Err(format!(
-                "truncated or corrupt: header promises {need} bytes, {} remain",
-                buf.remaining()
-            ));
-        }
+        let n = r.u32()?;
+        let dim = r.u32()? as usize;
+        // Every record is at least 2 (length prefix) + 8 (count) + dim*4
+        // bytes, so a corrupt header cannot demand more memory than the
+        // buffer could possibly encode.
+        let n = r.count(n, dim.saturating_mul(4).saturating_add(10))?;
         let mut pairs: Vec<(W, u64)> = Vec::with_capacity(n);
         let mut words = Vec::with_capacity(n);
         let mut vectors = Vec::with_capacity(n * dim);
         for _ in 0..n {
-            if buf.remaining() < 2 {
-                return Err("truncated word".into());
-            }
-            let wlen = buf.get_u16_le() as usize;
-            if buf.remaining() < wlen + 8 + dim * 4 {
-                return Err("truncated record".into());
-            }
-            let mut wbytes = vec![0u8; wlen];
-            buf.copy_to_slice(&mut wbytes);
-            let s = String::from_utf8(wbytes).map_err(|e| e.to_string())?;
+            let wlen = r.u16()?;
+            let s = std::str::from_utf8(r.bytes(wlen.into())?).map_err(|e| e.to_string())?;
             let w: W = s.parse().map_err(|_| format!("unparsable word {s:?}"))?;
             words.push(w.clone());
-            pairs.push((w, buf.get_u64_le()));
+            pairs.push((w, r.u64()?));
             for _ in 0..dim {
-                vectors.push(buf.get_f32_le());
+                vectors.push(r.f32()?);
             }
         }
+        r.finish()?;
         // Rebuild the vocabulary directly from the recorded counts; the
         // re-rank assigns the same ids as the original build (same counts,
         // same tie-break), so reorder the rows accordingly to be safe.
@@ -381,7 +357,7 @@ mod tests {
     #[test]
     fn from_bytes_rejects_garbage() {
         assert!(Embedding::<String>::from_bytes(&b"oops"[..]).is_err());
-        let mut good = sample().to_bytes().to_vec();
+        let mut good = sample().to_bytes();
         good.truncate(good.len() - 2);
         assert!(Embedding::<String>::from_bytes(&good[..]).is_err());
     }
@@ -390,7 +366,7 @@ mod tests {
     /// produce a clean error — no panic, no partial model.
     #[test]
     fn from_bytes_fails_cleanly_at_every_truncation_point() {
-        let good = sample().to_bytes().to_vec();
+        let good = sample().to_bytes();
         for cut in 0..good.len() {
             let r = Embedding::<String>::from_bytes(&good[..cut]);
             assert!(r.is_err(), "truncation at byte {cut}/{} parsed", good.len());
@@ -402,10 +378,10 @@ mod tests {
     /// large allocation (a corrupt cache file must not abort the process).
     #[test]
     fn from_bytes_rejects_implausible_headers() {
-        let mut huge_n = sample().to_bytes().to_vec();
+        let mut huge_n = sample().to_bytes();
         huge_n[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Embedding::<String>::from_bytes(&huge_n[..]).is_err());
-        let mut huge_dim = sample().to_bytes().to_vec();
+        let mut huge_dim = sample().to_bytes();
         huge_dim[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Embedding::<String>::from_bytes(&huge_dim[..]).is_err());
     }

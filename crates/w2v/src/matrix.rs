@@ -21,7 +21,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// A `rows × dim` matrix of lock-free `f32` cells.
 pub struct AtomicMatrix {
     cells: Vec<AtomicU32>,
-    rows: usize,
     dim: usize,
 }
 
@@ -30,7 +29,7 @@ impl AtomicMatrix {
     pub fn zeros(rows: usize, dim: usize) -> Self {
         let mut cells = Vec::with_capacity(rows * dim);
         cells.resize_with(rows * dim, || AtomicU32::new(0f32.to_bits()));
-        AtomicMatrix { cells, rows, dim }
+        AtomicMatrix { cells, dim }
     }
 
     /// A matrix initialised with the `word2vec.c` input-layer scheme:
@@ -47,30 +46,6 @@ impl AtomicMatrix {
             m.cells[i].store(v.to_bits(), Ordering::Relaxed);
         }
         m
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Embedding dimension (columns).
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Reads one cell.
-    #[inline]
-    pub fn get(&self, row: usize, col: usize) -> f32 {
-        debug_assert!(row < self.rows && col < self.dim);
-        f32::from_bits(self.cells[row * self.dim + col].load(Ordering::Relaxed))
-    }
-
-    /// Writes one cell.
-    #[inline]
-    pub fn set(&self, row: usize, col: usize, v: f32) {
-        debug_assert!(row < self.rows && col < self.dim);
-        self.cells[row * self.dim + col].store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// One row as a slice of raw atomic cells.
@@ -136,21 +111,10 @@ mod tests {
     #[test]
     fn zeros_reads_zero() {
         let m = AtomicMatrix::zeros(3, 4);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.dim(), 4);
-        for r in 0..3 {
-            for c in 0..4 {
-                assert_eq!(m.get(r, c), 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn set_get_round_trip() {
-        let m = AtomicMatrix::zeros(2, 2);
-        m.set(1, 1, -3.25);
-        assert_eq!(m.get(1, 1), -3.25);
-        assert_eq!(m.get(1, 0), 0.0);
+        assert_eq!(m.to_vec(), vec![0.0; 12]);
+        let mut row = [9.0; 4];
+        m.read_row(2, &mut row);
+        assert_eq!(row, [0.0; 4]);
     }
 
     #[test]
@@ -179,14 +143,14 @@ mod tests {
         assert_eq!(out, [0.0; 3]);
         m.read_row(2, &mut out);
         assert_eq!(out, [0.0; 3]);
-        assert_eq!(m.get(1, 1), -2.5);
+        assert_eq!(m.to_vec(), [0.0, 0.0, 0.0, 1.0, -2.5, 3.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn concurrent_updates_do_not_tear() {
-        // Relaxed 32-bit atomics can lose increments under contention but
-        // can never produce a torn/garbage bit pattern: every read must be
-        // one of the written values. A row read may mix cells of
+        // Relaxed 32-bit atomics can lose updates under contention but
+        // can never produce a torn/garbage bit pattern: every cell read
+        // must be one of the written values. A row read may mix cells of
         // different writers (the Hogwild trade), but never tears a cell.
         let m = std::sync::Arc::new(AtomicMatrix::zeros(1, 4));
         let mut handles = Vec::new();
@@ -195,9 +159,6 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut row = [0.0f32; 4];
                 for _ in 0..2_000 {
-                    m.set(0, 0, t as f32 + 1.0);
-                    let v = m.get(0, 0);
-                    assert!((1.0..=4.0).contains(&v), "torn read: {v}");
                     m.write_row(0, &[t as f32 + 1.0; 4]);
                     m.read_row(0, &mut row);
                     assert!(

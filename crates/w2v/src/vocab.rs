@@ -66,7 +66,7 @@ impl<W: Eq + Hash + Clone + Ord> Vocab<W> {
     /// re-ranked by `(count desc, word asc)`, the same order [`Vocab::build`]
     /// assigns, so token ids are reproducible regardless of input order.
     /// Returns an error (instead of panicking or silently merging) on
-    /// duplicate words or zero counts.
+    /// duplicate words, zero counts or counts whose sum overflows `u64`.
     pub fn from_counts(pairs: Vec<(W, u64)>) -> Result<Self, String> {
         let mut kept = pairs;
         if kept.iter().any(|&(_, c)| c == 0) {
@@ -76,14 +76,17 @@ impl<W: Eq + Hash + Clone + Ord> Vocab<W> {
         let mut words = Vec::with_capacity(kept.len());
         let mut counts = Vec::with_capacity(kept.len());
         let mut index = HashMap::with_capacity(kept.len());
-        let mut total = 0;
+        let mut total = 0u64;
         for (id, (w, c)) in kept.into_iter().enumerate() {
             if index.insert(w.clone(), id as TokenId).is_some() {
                 return Err("duplicate word in vocabulary".to_string());
             }
             words.push(w);
             counts.push(c);
-            total += c;
+            // Counts come from decoded files; a sum past u64 is corrupt.
+            total = total
+                .checked_add(c)
+                .ok_or_else(|| "vocabulary counts overflow u64".to_string())?;
         }
         Ok(Vocab {
             words,
@@ -233,6 +236,7 @@ mod tests {
     fn from_counts_rejects_duplicates_and_zero() {
         assert!(Vocab::from_counts(vec![("a", 1u64), ("a", 2)]).is_err());
         assert!(Vocab::from_counts(vec![("a", 0u64)]).is_err());
+        assert!(Vocab::from_counts(vec![("a", u64::MAX), ("b", 1)]).is_err());
         assert!(Vocab::<&str>::from_counts(Vec::new()).unwrap().is_empty());
     }
 

@@ -6,8 +6,10 @@
 
 use darkvec::config::{DarkVecConfig, SlidingWindow};
 use darkvec::protocol::{
-    decode_response, encode_request, read_frame, write_frame, Request, Response, MAX_FRAME,
+    decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,
+    MAX_FRAME,
 };
+use darkvec::serve::MAX_CONNECTIONS;
 use darkvec::supervised::Evaluation;
 use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
 use darkvec::{Client, Daemon, ServeConfig};
@@ -268,6 +270,57 @@ fn slow_loris_partial_writes_are_dropped_but_idle_connections_are_not() {
     // ...and both the idle client and new clients still work.
     idle.ping().unwrap();
     Client::connect(daemon.addr()).unwrap().ping().unwrap();
+}
+
+/// Idle connections each hold a thread, so live connections are capped:
+/// past the cap a client gets one `Error` frame naming the limit and is
+/// closed, counted as rejected and not as a fault. At most the cap + 8
+/// sockets are open at once, so a daemon without the cap starts no more
+/// threads than that.
+#[test]
+fn connections_past_the_cap_are_refused_then_served_once_slots_free() {
+    let (daemon, tx) = start(tiny_serve_cfg());
+    drop(tx);
+    let mut idle: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut client = Client::connect(daemon.addr()).unwrap();
+            client.ping().unwrap();
+            client
+        })
+        .collect();
+    let before = daemon.stats();
+    assert_eq!(before.connections, MAX_CONNECTIONS as u64);
+    let mut refused: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(daemon.addr()).unwrap())
+        .collect();
+    for stream in &mut refused {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let reply = read_frame(stream).expect("a refusal frame");
+        match decode_response(&reply).unwrap() {
+            Response::Error(msg) => assert!(
+                msg.contains(&format!("limit of {MAX_CONNECTIONS}")),
+                "msg: {msg}"
+            ),
+            other => panic!("expected Error reply, got {other:?}"),
+        }
+        assert!(matches!(read_frame(stream), Err(FrameError::Closed)));
+    }
+    let after = daemon.stats();
+    assert_eq!(after.rejected, before.rejected + 8);
+    assert_eq!(after.errors, before.errors, "a refusal is not a fault");
+    assert_eq!(after.connections, MAX_CONNECTIONS as u64);
+
+    // Closing the idle connections frees their slots.
+    idle.clear();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while daemon.stats().connections > 0 {
+        assert!(Instant::now() < deadline, "slots never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    Client::connect(daemon.addr()).unwrap().ping().unwrap();
+    assert_eq!(daemon.stats().rejected, after.rejected);
 }
 
 #[test]
