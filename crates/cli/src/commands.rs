@@ -12,7 +12,6 @@ use darkvec::window::{check_windowed, window_observations};
 use darkvec::{Client, Daemon, ServeConfig};
 use darkvec_gen::{pump, simulate as run_sim, PacketStream, SimConfig};
 use darkvec_ml::ann::NeighborBackend;
-use darkvec_obs::diff::{diff_manifests, DiffOptions};
 use darkvec_obs::trace::chrome_trace;
 use darkvec_obs::{info, manifest, metrics, Json};
 use darkvec_types::{io, Anonymizer, Ipv4, Protocol, Trace};
@@ -754,71 +753,21 @@ pub fn export(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `darkvec obs <diff|trace> ...` — offline analysis of run manifests.
+/// `darkvec obs trace ...` — offline analysis of run manifests.
 ///
-/// Hand-parsed because it takes positional manifest paths, which the
+/// Hand-parsed because it takes a positional manifest path, which the
 /// flag-only [`Options`] parser rejects by design.
 pub fn obs(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
-        Some("diff") => obs_diff(&args[1..]),
         Some("trace") => obs_trace(&args[1..]),
-        Some(other) => Err(format!(
-            "unknown obs subcommand {other:?} (expected diff or trace)"
-        )),
-        None => Err(
-            "usage: darkvec obs diff <a.json> <b.json> [--gate PCT] [--counters-only] [--force]\n\
-             \x20      darkvec obs trace <manifest.json> [-o trace.json]"
-                .to_string(),
-        ),
+        Some(other) => Err(format!("unknown obs subcommand {other:?} (expected trace)")),
+        None => Err("usage: darkvec obs trace <manifest.json> [-o trace.json]".to_string()),
     }
 }
 
 fn read_manifest(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// `darkvec obs diff a.json b.json --gate 20` — compare two run manifests
-/// and fail (nonzero exit) when B regresses past the gate relative to A.
-fn obs_diff(args: &[String]) -> Result<(), String> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut dopts = DiffOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--gate" => {
-                let v = it.next().ok_or("--gate needs a percent value")?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--gate: cannot parse {v:?} as a percent"))?;
-                dopts.gate_pct = Some(pct);
-            }
-            "--counters-only" => dopts.counters_only = true,
-            "--force" => dopts.force = true,
-            flag if flag.starts_with('-') => {
-                return Err(format!(
-                    "unknown flag {flag} (obs diff takes --gate PCT, --counters-only, --force)"
-                ))
-            }
-            path => paths.push(path),
-        }
-    }
-    let [a, b] = paths[..] else {
-        return Err(format!(
-            "obs diff needs exactly two manifest paths, got {}",
-            paths.len()
-        ));
-    };
-    let report = diff_manifests(&read_manifest(a)?, &read_manifest(b)?, &dopts)?;
-    print!("{}", report.render());
-    if report.ok() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} metric(s) regressed past the gate",
-            report.breaches.len()
-        ))
-    }
 }
 
 /// `darkvec obs trace manifest.json -o trace.json` — export the span tree
@@ -1077,7 +1026,7 @@ mod tests {
 
     /// Writes a minimal schema-v2 manifest for `obs` tests, with one
     /// counter at the given value.
-    fn write_obs_manifest(name: &str, packets: u64) -> String {
+    fn write_obs_manifest(name: &str) -> String {
         let path = tmp(name);
         let manifest = Json::obj()
             .with("schema_version", 2u64)
@@ -1092,7 +1041,7 @@ mod tests {
             .with(
                 "metrics",
                 Json::obj()
-                    .with("counters", Json::obj().with("pipeline.packets", packets))
+                    .with("counters", Json::obj().with("pipeline.packets", 42u64))
                     .with("gauges", Json::obj())
                     .with("histograms", Json::obj()),
             )
@@ -1111,28 +1060,8 @@ mod tests {
     }
 
     #[test]
-    fn obs_diff_gates_counter_regressions() {
-        let a = write_obs_manifest("obs-a.json", 1000);
-        let same = write_obs_manifest("obs-same.json", 1010);
-        let worse = write_obs_manifest("obs-worse.json", 2000);
-        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        // Within the gate: passes.
-        obs(&argv(&["diff", &a, &same, "--gate", "20"])).unwrap();
-        // Past the gate: structured failure mentioning the regression count.
-        let err = obs(&argv(&["diff", &a, &worse, "--gate", "20"])).unwrap_err();
-        assert!(err.contains("regressed"), "unexpected error: {err}");
-        // No gate: report-only, always passes.
-        obs(&argv(&["diff", &a, &worse])).unwrap();
-        // Wrong arity and unknown flags are rejected.
-        assert!(obs(&argv(&["diff", &a])).is_err());
-        assert!(obs(&argv(&["diff", &a, &same, "--bogus"])).is_err());
-        assert!(obs(&argv(&["nope"])).is_err());
-        assert!(obs(&[]).is_err());
-    }
-
-    #[test]
     fn obs_trace_exports_chrome_trace_json() {
-        let manifest = write_obs_manifest("obs-trace-in.json", 42);
+        let manifest = write_obs_manifest("obs-trace-in.json");
         let out = tmp("obs-trace-out.json");
         let argv: Vec<String> = vec!["trace".into(), manifest, "-o".into(), out.clone()];
         obs(&argv).unwrap();

@@ -19,7 +19,6 @@
 //!                   [--ann | --exact]
 //! darkvec stats     --trace trace.bin
 //! darkvec export    --trace trace.bin --out trace.csv
-//! darkvec obs diff  a.json b.json [--gate PCT] [--counters-only] [--force]
 //! darkvec obs trace manifest.json [-o trace.json]
 //! ```
 //!
@@ -129,9 +128,9 @@ pub fn run(argv: &[String]) -> u8 {
     }
 }
 
-/// Stamps run-environment facts into the manifest so `obs diff` can
-/// refuse to compare runs from incompatible configurations: resolved
-/// thread count, active SIMD dispatch path, and neighbour backend.
+/// Stamps run-environment facts into the manifest so runs from
+/// incompatible configurations can be told apart: resolved thread
+/// count, active SIMD dispatch path, and neighbour backend.
 fn stamp_env(command: &str, opts: &args::Options) {
     use darkvec_obs::manifest::set_env;
     let threads = opts
@@ -223,8 +222,7 @@ fn usage() -> &'static str {
        cluster    discover coordinated sender groups (kNN graph + Louvain)\n\
        stats      dataset summary of a capture\n\
        export     convert a binary capture to CSV\n\
-       obs        analyse run manifests: 'obs diff A B --gate PCT' gates\n\
-                  perf regressions, 'obs trace M -o T' exports Chrome trace\n\
+       obs        'obs trace M -o T' exports a run manifest as a Chrome trace\n\
        help       this message\n\
      \n\
      common flags:\n\

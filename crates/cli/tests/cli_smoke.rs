@@ -1,7 +1,7 @@
 //! Smoke tests that drive the real `darkvec` binary: flag parsing, exit
 //! codes and the human-facing stdout that in-process unit tests cannot
-//! capture — the `incremental` cache column, `obs diff` gating, and a
-//! full `serve`/`query`/`shutdown` session over the wire.
+//! capture — the `incremental` cache column and a full
+//! `serve`/`query`/`shutdown` session over the wire.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -114,45 +114,6 @@ fn incremental_reports_cache_latency_column() {
         "second identical run must hit the cache:\n{stdout}"
     );
     let _ = std::fs::remove_dir_all(&cache);
-}
-
-/// Two schema-v2 manifests differing only in one counter.
-fn write_manifest(name: &str, packets: u64) -> String {
-    let path = tmp(name);
-    let json = format!(
-        r#"{{
-  "schema_version": 2,
-  "command": "train",
-  "env": {{"threads": 1, "simd": "scalar", "backend": "exact"}},
-  "metrics": {{
-    "counters": {{"pipeline.packets": {packets}}},
-    "gauges": {{}},
-    "histograms": {{}}
-  }},
-  "thread_names": {{"0": "main"}},
-  "trace_events": [],
-  "counter_samples": []
-}}"#
-    );
-    std::fs::write(&path, json).unwrap();
-    path
-}
-
-#[test]
-fn obs_diff_exit_codes_gate_regressions() {
-    let a = write_manifest("gate-a.json", 1000);
-    let same = write_manifest("gate-same.json", 1010);
-    let worse = write_manifest("gate-worse.json", 2000);
-    // Within the gate: exit 0.
-    run_ok(&["obs", "diff", &a, &same, "--gate", "20"]);
-    // Past the gate: exit 1 with a structured error.
-    let out = run_err(&["obs", "diff", &a, &worse, "--gate", "20"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("regressed"));
-    // Report-only (no gate): exit 0 even on a regression.
-    run_ok(&["obs", "diff", &a, &worse]);
-    // Wrong arity: exit 1.
-    assert_eq!(run_err(&["obs", "diff", &a]).status.code(), Some(1));
 }
 
 /// Kills the daemon on drop so a failing assertion can't leak a child

@@ -109,8 +109,10 @@ impl DarkVecConfig {
         crate::cache::fnv1a64(self.fingerprint().as_bytes())
     }
 
-    /// A configuration sized for fast unit tests (small model, 1 thread,
-    /// deterministic).
+    /// A configuration sized for fast unit tests: a small model trained
+    /// on every core (`threads: 0`), so Hogwild races make it
+    /// reproducible only in quality; set `w2v.threads = 1` for bit-stable
+    /// training.
     pub fn test_size(seed: u64) -> Self {
         DarkVecConfig {
             w2v: TrainConfig {

@@ -286,6 +286,9 @@ pub struct DaemonStats {
     pub packets: u64,
     /// Capture days completed.
     pub days: u64,
+    /// Completed days held for the next retrain: at most the window's
+    /// `days`, since older days are dropped when a day is sealed.
+    pub days_held: u64,
     /// Retrains completed.
     pub retrains: u64,
     /// Model swaps performed.
@@ -317,10 +320,10 @@ struct Shared {
     job: Mutex<Option<TrainJob>>,
     job_ready: Condvar,
     training: AtomicBool,
-    stream_done: AtomicBool,
     shutdown: AtomicBool,
     packets: AtomicU64,
     days: AtomicU64,
+    days_held: AtomicU64,
     retrains: AtomicU64,
     swap_count: AtomicU64,
     queries: AtomicU64,
@@ -411,11 +414,17 @@ impl Daemon {
     /// ingest channel. Dropping all senders ends the stream: the daemon
     /// finalises the partial day, trains a final model, and keeps
     /// serving queries until shut down. A config that cannot run window
-    /// by window ([`window::check_windowed`]) is an `InvalidInput` error.
+    /// by window ([`window::check_windowed`]) or a default `k` of 0 is an
+    /// `InvalidInput` error.
     pub fn start(cfg: ServeConfig) -> io::Result<(Daemon, SyncSender<Vec<Packet>>)> {
         window::check_windowed(&cfg.cfg)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        assert!(cfg.k > 0, "default k must be positive");
+        if cfg.k == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "default k must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -432,10 +441,10 @@ impl Daemon {
             job: Mutex::new(None),
             job_ready: Condvar::new(),
             training: AtomicBool::new(false),
-            stream_done: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             packets: AtomicU64::new(0),
             days: AtomicU64::new(0),
+            days_held: AtomicU64::new(0),
             retrains: AtomicU64::new(0),
             swap_count: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -510,6 +519,7 @@ impl Daemon {
         DaemonStats {
             packets: s.packets.load(Ordering::Relaxed),
             days: s.days.load(Ordering::Relaxed),
+            days_held: s.days_held.load(Ordering::Relaxed),
             retrains: s.retrains.load(Ordering::Relaxed),
             swaps: s.swap_count.load(Ordering::Relaxed),
             queries: s.queries.load(Ordering::Relaxed),
@@ -623,8 +633,16 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
             mirai,
             svc_counts,
         }));
+        // A retrain reads only the trailing window, so older days go now:
+        // a months-long stream holds `window.days` shards, not every day.
+        let older = shards.len().saturating_sub(cfg.cfg.window.days as usize);
+        shards.drain(..older);
         shared.days.fetch_add(1, Ordering::Relaxed);
+        shared
+            .days_held
+            .store(shards.len() as u64, Ordering::Relaxed);
         darkvec_obs::metrics::counter("serve.days").add(1);
+        darkvec_obs::metrics::gauge("serve.days_held").set(shards.len() as f64);
         darkvec_obs::debug!("serve: day {day} complete ({} shards)", shards.len());
     };
 
@@ -673,7 +691,7 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
                         None => current_day = Some(day),
                         Some(cur) if day > cur => {
                             finalize_day(cur, &mut day_buf, &mut shards, &mut services);
-                            let completed = shards.len() as u64;
+                            let completed = shared.days.load(Ordering::Relaxed);
                             let w = cfg.cfg.window;
                             if completed >= w.days && (completed - w.days).is_multiple_of(w.stride)
                             {
@@ -702,11 +720,10 @@ fn ingest_loop(shared: &Shared, rx: &Receiver<Vec<Packet>>, cache: &Option<Artif
                     finalize_day(day, &mut day_buf, &mut shards, &mut services);
                 }
                 schedule(&shards, &services, cfg.cfg.window.days, &mut last_scheduled);
-                shared.stream_done.store(true, Ordering::SeqCst);
                 darkvec_obs::info!(
                     "serve: stream ended after {} packets / {} days",
                     shared.packets.load(Ordering::Relaxed),
-                    shards.len()
+                    shared.days.load(Ordering::Relaxed)
                 );
                 return;
             }

@@ -100,10 +100,10 @@ pub fn build_shards(
     let chunk = n_days.div_ceil(threads).max(1);
     let ctx = darkvec_obs::span::context();
     let day_corpus = &day_corpus;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (c, out) in shards.chunks_mut(chunk).enumerate() {
             let base = c * chunk;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _worker = darkvec_obs::span!("shard.build.worker", ctx);
                 for (off, slot) in out.iter_mut().enumerate() {
                     let day = first_day + (base + off) as u64;
@@ -113,8 +113,7 @@ pub fn build_shards(
                 }
             });
         }
-    })
-    .expect("shard build worker panicked");
+    });
     darkvec_obs::metrics::counter("shard.built").add(n_days as u64);
     shards
         .into_iter()

@@ -13,7 +13,7 @@
 //!   breaks toward the smaller row index.
 //! * **Batched parallel build** — nodes are inserted in index order in
 //!   fixed-size batches: each batch's candidate searches run in parallel
-//!   over the *frozen* graph built so far (crossbeam scoped threads, the
+//!   over the *frozen* graph built so far (`std::thread::scope`, the
 //!   same pattern as `knn_all`), then links are committed sequentially in
 //!   index order. Threads never observe each other's writes, so the built
 //!   graph is identical for any thread count. Nodes earlier in the same
@@ -202,10 +202,10 @@ impl<'m> HnswIndex<'m> {
                 let chunk = batch.len().div_ceil(threads);
                 let idx_ref = &index;
                 let ctx = darkvec_obs::span::context();
-                crossbeam::scope(|scope| {
+                std::thread::scope(|scope| {
                     for (c, out) in batch.chunks_mut(chunk).enumerate() {
                         let base = done + c * chunk;
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let _worker = darkvec_obs::span!("ml.ann.build.batch", ctx);
                             let mut scratch = Scratch::new(n);
                             for (off, cands) in out.iter_mut().enumerate() {
@@ -214,8 +214,7 @@ impl<'m> HnswIndex<'m> {
                             }
                         });
                     }
-                })
-                .expect("hnsw build worker panicked");
+                });
             }
             // Sequential phase: commit links in index order.
             for (off, cands) in batch.into_iter().enumerate() {
@@ -303,10 +302,10 @@ impl<'m> HnswIndex<'m> {
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); n];
         let chunk = n.div_ceil(threads);
         let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (c, out) in results.chunks_mut(chunk).enumerate() {
                 let base = c * chunk;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _worker = darkvec_obs::span!("ml.ann.query.chunk", ctx);
                     let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
                     let mut scratch = Scratch::new(n);
@@ -327,8 +326,7 @@ impl<'m> HnswIndex<'m> {
                     }
                 });
             }
-        })
-        .expect("hnsw query worker panicked");
+        });
         results
     }
 
@@ -381,10 +379,10 @@ impl<'m> HnswIndex<'m> {
         let mut results: Vec<Vec<Neighbor>> = vec![Vec::new(); nq];
         let chunk = nq.div_ceil(threads);
         let ctx = darkvec_obs::span::context();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (c, out) in results.chunks_mut(chunk).enumerate() {
                 let q = &normed_q[c * chunk * dim..(c * chunk + out.len()) * dim];
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let _worker = darkvec_obs::span!("ml.ann.query.chunk", ctx);
                     let query_latency = darkvec_obs::metrics::histogram("ml.knn.query_ns");
                     let mut scratch = Scratch::new(n);
@@ -404,8 +402,7 @@ impl<'m> HnswIndex<'m> {
                     }
                 });
             }
-        })
-        .expect("hnsw query worker panicked");
+        });
         results
     }
 

@@ -3,8 +3,8 @@
 //! DarkVec's embeddings have 10^4–10^5 rows of 50 dimensions, where exact
 //! brute force (normalise once, then dot products) is both simple and fast —
 //! a few hundred million fused multiply-adds, spread over cores with
-//! crossbeam scoped threads (a search that would get one chunk or band
-//! runs inline and spawns nothing).
+//! `std::thread::scope` (a search that would get one chunk or band runs
+//! inline and spawns nothing).
 //!
 //! **All rows against each other ([`knn_all_normalized`]).** Cosine
 //! similarity is symmetric, so the scan computes each pair's score once,
@@ -110,11 +110,11 @@ pub fn knn_all_normalized(
         scan_band(normed, k, 0..tiles).lists
     } else {
         let ctx = darkvec_obs::span::context();
-        let partial: Vec<Band> = crossbeam::scope(|scope| {
+        let partial: Vec<Band> = std::thread::scope(|scope| {
             let workers: Vec<_> = bands
                 .into_iter()
                 .map(|tiles| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
                         scan_band(normed, k, tiles)
                     })
@@ -124,8 +124,7 @@ pub fn knn_all_normalized(
                 .into_iter()
                 .map(|w| w.join().expect("knn worker panicked"))
                 .collect()
-        })
-        .expect("knn worker panicked");
+        });
         if partial.iter().any(|band| band.saw_nan) {
             scan_band(normed, k, 0..tiles).lists
         } else {
@@ -341,7 +340,7 @@ fn worker_count(threads: usize) -> usize {
 
 /// Splits `results` into one contiguous chunk per worker (`threads = 0`:
 /// one per core, never more than one per query) and runs
-/// `scan(first_query, chunk)` on each, in crossbeam scoped threads under
+/// `scan(first_query, chunk)` on each, in `std::thread::scope` threads under
 /// an `ml.knn.chunk` span. A search that would get a single chunk runs
 /// inline instead: no scope, no thread, no worker span — the serve
 /// daemon classifies one query at a time this way.
@@ -357,15 +356,14 @@ where
     let chunk = results.len().div_ceil(threads);
     let ctx = darkvec_obs::span::context();
     let scan = &scan;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (c, out) in results.chunks_mut(chunk).enumerate() {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _worker = darkvec_obs::span!("ml.knn.chunk", ctx);
                 scan(c * chunk, out);
             });
         }
-    })
-    .expect("knn worker panicked");
+    });
 }
 
 /// The cache-blocked scan of external queries: for each `dim`-sized row

@@ -5,7 +5,7 @@
 //! manifests need:
 //! construction, escaping, deterministic pretty-printing (object keys
 //! keep insertion order), and a small recursive-descent [`Json::parse`]
-//! so `darkvec obs diff`/`obs trace` can read manifests back.
+//! so `darkvec obs trace` can read manifests back.
 
 use std::fmt::Write as _;
 

@@ -30,9 +30,7 @@
 //!   samples as Chrome `trace_event` JSON (Perfetto-compatible, real
 //!   per-thread lanes);
 //! * [`serve`] — a std-only TCP endpoint (`--metrics-addr`) exposing
-//!   the live registry as Prometheus text and JSON;
-//! * [`diff`] — structured regression comparison between two manifests
-//!   with a percent gate, used by `darkvec obs diff` in CI.
+//!   the live registry as Prometheus text and JSON.
 //!
 //! ```
 //! use darkvec_obs::{info, metrics, span};
@@ -43,7 +41,6 @@
 //! info!("stage finished");
 //! ```
 
-pub mod diff;
 pub mod hdr;
 pub mod json;
 pub mod log;

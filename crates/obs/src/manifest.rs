@@ -3,7 +3,7 @@
 //! A manifest freezes everything needed to reproduce and compare a run:
 //! the command and its configuration, an `env` section stamping the
 //! execution environment (thread count, SIMD dispatch path, kNN
-//! backend — what [`crate::diff`] checks before comparing two runs),
+//! backend — what to check before comparing two runs' numbers),
 //! the aggregated span tree (stage timings), raw per-thread trace
 //! events (what [`crate::trace`] turns into Chrome JSON), counter
 //! samples, and a full metrics snapshot with p50/p90/p99/p99.9 per
@@ -61,8 +61,8 @@ pub fn attach(name: &str, value: impl Into<Json>) {
 }
 
 /// Stamps an environment key (e.g. `threads`, `simd`, `backend`) into
-/// every manifest finished later in this process. [`crate::diff`]
-/// refuses to compare manifests whose stamps disagree.
+/// every manifest finished later in this process, so runs on different
+/// thread counts, SIMD paths or backends can be told apart.
 pub fn set_env(key: &str, value: impl Into<Json>) {
     let mut stash = env_stash().lock().expect("env stash poisoned");
     let value = value.into();

@@ -15,7 +15,7 @@
 //! * a [`SpanContext`] captured with [`context`] on one thread can be
 //!   handed to [`enter_with`] on another, attaching worker spans to the
 //!   spawning span instead of leaving them as orphan roots — the pattern
-//!   for crossbeam/scoped-thread fan-outs (Hogwild training, parallel
+//!   for `std::thread::scope` fan-outs (Hogwild training, parallel
 //!   HNSW build, kNN chunks).
 
 // lint: relaxed-ok(span id/drop counters are metrics counters; trace assembly orders events by captured timestamps, not atomic ordering)

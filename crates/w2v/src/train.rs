@@ -251,11 +251,11 @@ where
 
     let hogwild_span = darkvec_obs::span!("w2v.hogwild");
     let hogwild_ctx = darkvec_obs::span::context();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (tid, sentences) in encoded.chunks(chunk).enumerate() {
             let (syn0, syn1, sig, subsampler, table) = (&syn0, &syn1, &sig, &subsampler, &table);
             let (words_done, pairs_trained) = (&words_done, &pairs_trained);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _worker_span = darkvec_obs::span!("w2v.hogwild.worker", hogwild_ctx);
                 let mut worker = Worker {
                     rng: SmallRng::seed_from_u64(
@@ -303,8 +303,7 @@ where
                     .set(worker.local_pairs as f64 / secs);
             });
         }
-    })
-    .expect("training thread panicked");
+    });
     drop(hogwild_span);
 
     let stats = TrainStats {

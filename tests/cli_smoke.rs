@@ -14,37 +14,33 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
-fn write_manifest(name: &str, packets: u64) -> String {
+fn write_manifest(name: &str) -> String {
     let path = tmp(name);
-    let json = format!(
-        r#"{{
+    let json = r#"{
   "schema_version": 2,
   "command": "train",
-  "env": {{"threads": 1, "simd": "scalar", "backend": "exact"}},
-  "metrics": {{
-    "counters": {{"pipeline.packets": {packets}}},
-    "gauges": {{}},
-    "histograms": {{}}
-  }},
-  "thread_names": {{"0": "main"}},
+  "env": {"threads": 1, "simd": "scalar", "backend": "exact"},
+  "metrics": {
+    "counters": {"pipeline.packets": 1000},
+    "gauges": {},
+    "histograms": {}
+  },
+  "thread_names": {"0": "main"},
   "trace_events": [],
   "counter_samples": []
-}}"#
-    );
+}"#;
     std::fs::write(&path, json).unwrap();
     path
 }
 
 #[test]
-fn obs_diff_exit_codes() {
-    let a = write_manifest("a.json", 1000);
-    let same = write_manifest("same.json", 1010);
-    let worse = write_manifest("worse.json", 2000);
-    assert_eq!(run(&["obs", "diff", &a, &same, "--gate", "20"]), 0);
-    assert_eq!(run(&["obs", "diff", &a, &worse, "--gate", "20"]), 1);
-    assert_eq!(run(&["obs", "diff", &a, &worse]), 0);
-    assert_eq!(run(&["obs", "diff", &a]), 1);
+fn obs_exit_codes() {
+    let manifest = write_manifest("run.json");
+    let out = tmp("trace.json");
     assert_eq!(run(&["obs", "nope"]), 1);
+    assert_eq!(run(&["obs"]), 1);
+    assert_eq!(run(&["obs", "trace", &manifest, "-o", &out]), 0);
+    assert_eq!(run(&["obs", "trace"]), 1);
 }
 
 #[test]

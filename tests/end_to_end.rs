@@ -171,7 +171,10 @@ fn accuracy_degrades_for_very_large_k() {
 /// absorb kernel-path rounding differences (SIMD vs `--no-simd` runs are
 /// equal to ~1e-5 per operation, which training amplifies), but tight
 /// enough that a real behaviour change — a different corpus, a broken
-/// update rule, a changed tie-break — trips them.
+/// update rule, a changed tie-break — trips them. The work counts (capture,
+/// corpus, skip-grams, trained pairs) involve no float math that a kernel
+/// path changes, so they are asserted exactly; a change that legitimately
+/// moves one re-pins it here.
 #[test]
 fn golden_pipeline_metrics_are_stable() {
     use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
@@ -184,6 +187,26 @@ fn golden_pipeline_metrics_are_stable() {
     let mut cfg = test_cfg(ServiceDef::DomainKnowledge);
     cfg.w2v.threads = 1; // bit-stable training within one kernel path
     let model = pipeline::run(&sim.trace, &cfg);
+    assert_eq!(sim.trace.len(), 150_251, "capture packets");
+    assert_eq!(
+        (
+            model.corpus.sentences,
+            model.corpus.tokens,
+            model.corpus.max_len
+        ),
+        (2_113, 148_516, 944),
+        "corpus (sentences, tokens, longest sentence)"
+    );
+    assert_eq!(model.skipgrams, 2_782_628, "skip-grams (Table 3)");
+    assert_eq!(
+        (
+            model.train.vocab_size,
+            model.train.corpus_tokens,
+            model.train.pairs_trained
+        ),
+        (1_806, 148_302, 12_148_010),
+        "training (vocabulary, corpus tokens, pairs trained)"
+    );
 
     let ev = Evaluation::prepare(&model.embedding, labels, 10, GtClass::Unknown.label(), 7, 0);
     let report = ev.report(7, &GtClass::names());

@@ -567,6 +567,43 @@ fn hand_built_trace_maps_days_onto_the_window() {
     assert!(client.alerts().unwrap().is_empty());
 }
 
+/// A long stream holds only the window's days: five sealed days into a
+/// 2-day window leave two shards held, while the stride schedule still
+/// counts every sealed day.
+#[test]
+fn daemon_holds_only_the_window_days() {
+    let mut packets = Vec::new();
+    for day in 0..5u64 {
+        for i in 0..40u16 {
+            for rep in 0..4u64 {
+                packets.push(Packet::mirai(
+                    Timestamp(day * DAY + i as u64 * 600 + rep),
+                    Ipv4::new(10, 0, (i / 8) as u8, (i % 8) as u8),
+                    23,
+                ));
+            }
+        }
+    }
+    let (daemon, tx) = start(tiny_serve_cfg());
+    feed_and_settle(&daemon, tx, Trace::new(packets));
+    let stats = daemon.stats();
+    assert_eq!(stats.days, 5);
+    assert_eq!(stats.days_held, 2);
+    assert_eq!(daemon.current_model().unwrap().window, (3, 4));
+}
+
+#[test]
+fn a_bad_window_or_zero_k_is_invalid_input() {
+    let mut bad_window = tiny_serve_cfg();
+    bad_window.cfg.dt = 7;
+    let mut zero_k = tiny_serve_cfg();
+    zero_k.k = 0;
+    for cfg in [bad_window, zero_k] {
+        let err = Daemon::start(cfg).err().expect("config must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+}
+
 /// The lineage tentpole over the wire: a coordinated group appearing
 /// after the baseline window — unlabelled, big enough — raises a novelty
 /// alert retrievable through [`Request::Alerts`] and [`Daemon::alerts`].
