@@ -93,13 +93,6 @@ pub struct Ip2VecModel {
     pub elapsed: std::time::Duration,
 }
 
-impl Ip2VecModel {
-    /// The vector of a sender, if embedded.
-    pub fn sender_vector(&self, ip: Ipv4) -> Option<&[f32]> {
-        self.embedding.as_ref()?.get(&Token::Ip(ip))
-    }
-}
-
 /// Emits IP2VEC's per-packet training pairs as 2-token sentences (training
 /// them with window 1 is exactly pair-wise SGNS).
 pub fn build_pairs(trace: &Trace) -> Vec<Vec<Token>> {

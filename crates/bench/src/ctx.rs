@@ -21,7 +21,7 @@ pub struct Ctx {
     /// Print progress notes to stderr.
     pub verbose: bool,
     /// Reduced workloads for CI / tests (`xp --smoke`): experiments that
-    /// size their own work (e.g. `perf`) shrink it and keep all outputs
+    /// size their own work (e.g. `ann`) shrink it and keep all outputs
     /// under [`Ctx::out_dir`] instead of the repo root.
     pub smoke: bool,
     /// Neighbour-search backend for kNN-based experiments (`xp --ann`

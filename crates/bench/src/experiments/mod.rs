@@ -13,10 +13,8 @@ pub mod gt_extension;
 pub mod incremental;
 pub mod novelty;
 pub mod perclass;
-pub mod perf;
 pub mod rasters;
 pub mod scale;
-pub mod serve;
 pub mod services_xp;
 pub mod transfer;
 pub mod tuning;
@@ -57,11 +55,9 @@ pub const ALL: &[&str] = &[
     "gt_extend",
     "transfer",
     "cluster_ablation",
-    "perf",
     "ann",
     "incremental",
     "novelty",
-    "serve",
     "scale",
 ];
 
@@ -88,11 +84,9 @@ pub fn run(ctx: &Ctx, id: &str) -> Option<String> {
         "gt_extend" => gt_extension::gt_extend(ctx),
         "transfer" => transfer::transfer(ctx),
         "cluster_ablation" => cluster_ablation::cluster_ablation(ctx),
-        "perf" => perf::perf(ctx),
         "ann" => ann::ann(ctx),
         "incremental" => incremental::incremental(ctx),
         "novelty" => novelty::novelty(ctx),
-        "serve" => serve::serve(ctx),
         "scale" => scale::scale(ctx),
         _ => return None,
     };
@@ -112,6 +106,6 @@ mod tests {
             assert!(run(&ctx, id).is_some(), "{id} failed to run");
         }
         assert!(run(&ctx, "nope").is_none());
-        assert_eq!(ALL.len(), 26);
+        assert_eq!(ALL.len(), 24);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The experiment harness that regenerates **every table and figure** of
 //! the DarkVec paper's evaluation (see DESIGN.md §3 for the index), plus
-//! the benchmarks that commit the `BENCH_*.json` files (`xp perf`,
-//! `xp ann`, `xp scale`, `xp serve`, …).
+//! the experiments that commit the `BENCH_*.json` files (`xp ann`,
+//! `xp scale`, `xp incremental`, `xp novelty`). Timing of the pipeline's
+//! own workloads lives in `benchmark/`.
 //!
 //! Run an experiment with:
 //!

@@ -263,7 +263,8 @@ pub struct LineageTracker {
     next_id: u64,
     windows_seen: u64,
     /// Window index each sender was last observed in (any cluster) —
-    /// the freshness ledger behind novelty criterion (e).
+    /// the freshness ledger behind novelty criterion (e). Holds only
+    /// senders seen within the re-emergence horizon.
     last_seen: HashMap<Ipv4, u64>,
 }
 
@@ -287,6 +288,12 @@ impl LineageTracker {
     /// Number of windows observed so far.
     pub fn windows_seen(&self) -> u64 {
         self.windows_seen
+    }
+
+    /// Senders in the freshness ledger: those seen in the last
+    /// `reemergence_windows + 1` windows observed.
+    pub fn ledger_len(&self) -> usize {
+        self.last_seen.len()
     }
 
     /// Ingests one window's clusters and returns the novelty alerts it
@@ -553,6 +560,12 @@ impl LineageTracker {
         for &ip in present {
             self.last_seen.insert(ip, self.windows_seen);
         }
+        // Drop the senders the next window would read as fresh anyway:
+        // the window index only grows, so they never read as seen again.
+        // This bounds the ledger by the horizon instead of by every
+        // sender ever seen.
+        let (now, horizon) = (self.windows_seen, self.cfg.reemergence_windows);
+        self.last_seen.retain(|_, w| now - *w <= horizon);
 
         self.windows_seen += 1;
         alerts
@@ -865,6 +878,41 @@ mod tests {
         let alerts = t.observe((3, 5), &[obs(0, group(1, 6)), obs(1, group(3, 6))]);
         assert_eq!(alerts.len(), 1, "past the horizon it's a new group");
         assert_eq!(t.records().len(), 3);
+    }
+
+    /// The freshness ledger holds the senders of the last
+    /// `reemergence_windows + 1` windows, not every sender ever seen.
+    #[test]
+    fn freshness_ledger_is_bounded_by_the_horizon() {
+        let cfg = LineageConfig::default();
+        let (r, n) = (cfg.reemergence_windows, 5u8);
+        let mut t = LineageTracker::new(cfg);
+        // R + 3 windows, each presenting N senders no other window saw.
+        for w in 0..r + 3 {
+            t.observe_with_presence((w, w + 1), &[], &group(100 + w as u8, n));
+        }
+        let bound = (r as usize + 1) * n as usize;
+        assert!(t.ledger_len() <= bound, "{} > {bound}", t.ledger_len());
+    }
+
+    /// Bounding the ledger changes no freshness call: a sender absent for
+    /// R windows still reads as seen, one absent for R + 1 as fresh.
+    #[test]
+    fn freshness_lapses_one_window_past_the_horizon() {
+        let mut t = LineageTracker::new(LineageConfig::default());
+        let r = t.cfg.reemergence_windows;
+        // Present but never clustered, so no lineage can re-emerge: only
+        // the ledger decides freshness.
+        t.observe_with_presence((0, 1), &[], &group(2, 6));
+        t.observe_with_presence((1, 2), &[], &group(1, 6));
+        for w in 2..r + 2 {
+            t.observe_with_presence((w, w + 1), &[], &[]);
+        }
+        // Group 1 was absent R windows, group 2 R + 1: only group 2's
+        // cluster is made of fresh senders.
+        let alerts = t.observe((r + 2, r + 3), &[obs(0, group(1, 6)), obs(1, group(2, 6))]);
+        assert_eq!(alerts.len(), 1, "{alerts:?}");
+        assert_eq!(alerts[0].examples, group(2, 6));
     }
 
     #[test]

@@ -59,6 +59,7 @@ use darkvec_types::{Ipv4, Packet, Protocol, Trace};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
@@ -72,6 +73,9 @@ pub const LABEL_UNKNOWN: Label = 0;
 pub const LABEL_MIRAI: Label = 1;
 /// k′ of the lineage clustering of each swapped-in model (the paper's pick).
 const LINEAGE_CLUSTER_K: usize = 3;
+/// Ingest channel depth, in micro-batches: the backpressure bound on
+/// packets queued ahead of the ingest thread.
+const QUEUE_DEPTH: usize = 64;
 
 /// Configuration of a serve daemon.
 #[derive(Clone, Debug)]
@@ -93,8 +97,6 @@ pub struct ServeConfig {
     /// dropped as a slow-loris fault. Idle connections between frames
     /// are not limited.
     pub read_timeout: Duration,
-    /// Ingest channel depth, in micro-batches (backpressure bound).
-    pub queue_depth: usize,
     /// Trainer/index-build threads (0 = all cores).
     pub threads: usize,
     /// Worker threads for window-corpus shard merging before a retrain
@@ -114,7 +116,6 @@ impl ServeConfig {
             cache_dir: None,
             listen: "127.0.0.1:0".to_string(),
             read_timeout: Duration::from_secs(2),
-            queue_depth: 64,
             threads: 0,
             shard_threads: 0,
         }
@@ -432,7 +433,7 @@ impl Daemon {
             Some(dir) => Some(ArtifactCache::new(dir)?),
             None => None,
         };
-        let (tx, rx) = sync_channel::<Vec<Packet>>(cfg.queue_depth.max(1));
+        let (tx, rx) = sync_channel::<Vec<Packet>>(QUEUE_DEPTH);
         let shared = Arc::new(Shared {
             cfg,
             model: RwLock::new(None),
@@ -751,6 +752,9 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
             let mut slot = shared.job_lock();
             loop {
                 if let Some(job) = slot.take() {
+                    // Raised under the job lock, so `wait_idle` never
+                    // sees the slot empty before the flag is up.
+                    shared.training.store(true, Ordering::SeqCst);
                     break Some(job);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -764,101 +768,130 @@ fn trainer_loop(shared: &Shared, cache: &Option<ArtifactCache>) {
             }
         };
         let Some(job) = job else { return };
-        shared.training.store(true, Ordering::SeqCst);
-        let started = Instant::now();
-
-        // Window corpus + label/centroid material from the shards. The
-        // corpus concatenation and vocabulary counting fan out across
-        // `shard_threads` (bit-identical to a serial merge).
-        let window: Vec<&[Vec<Ipv4>]> = job.shards.iter().map(|s| s.corpus.as_slice()).collect();
-        let merged = crate::shard::merge_window(&window, cfg.shard_threads);
-        let mut mirai: HashSet<Ipv4> = HashSet::new();
-        let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
-        for shard in &job.shards {
-            // lint: nondeterministic-ok(set union — element insertion order cannot affect membership)
-            mirai.extend(shard.mirai.iter().copied());
-            // lint: nondeterministic-ok(integer sums into a map are commutative; consumers sort before any order-sensitive use)
-            for (ip, per_svc) in &shard.svc_counts {
-                let into = svc_counts.entry(*ip).or_default();
-                // lint: nondeterministic-ok(integer sums into a map are commutative)
-                for (&svc, &n) in per_svc {
-                    *into.entry(svc).or_insert(0) += n;
-                }
-            }
-        }
-        let day_keys: Vec<u64> = job.shards.iter().map(|s| s.day_key).collect();
-        let step = engine.train(&merged, &job.services, &day_keys);
-        let source = step.source();
-        let trained = step.model;
-
-        if trained.embedding.is_empty() {
+        // A panic inside one retrain (training, the serving-model build or
+        // the lineage step) is a fault of that job, not of the daemon:
+        // count it, keep serving the model already live, and wait for the
+        // next job instead of ending the thread with `training` still set.
+        let swapped = panic::catch_unwind(AssertUnwindSafe(|| {
+            retrain(shared, &mut engine, &mut lineage, &mut version, &job)
+        }))
+        .unwrap_or_else(|_| {
             shared.fault(
-                "retrain produced an empty embedding",
+                "retrain panicked",
                 &format!("window {}..={}", job.start_day, job.end_day),
             );
-            shared.training.store(false, Ordering::SeqCst);
-            continue;
-        }
-
-        // Build the complete serving model before it becomes visible.
-        version += 1;
-        let n = trained.embedding.len();
-        let dim = trained.embedding.dim();
-        let normed = Arc::new(Matrix::new(trained.embedding.vectors(), n, dim).normalized());
-        let index = cfg.backend.index_shared(Arc::clone(&normed), cfg.threads);
-        let labels: Vec<Label> = (0..n as u32)
-            .map(|id| {
-                if mirai.contains(trained.embedding.vocab().word(id)) {
-                    LABEL_MIRAI
-                } else {
-                    LABEL_UNKNOWN
-                }
-            })
-            .collect();
-        let centroids = build_centroids(&trained, &normed, &svc_counts);
-        let checksum = checksum_of(&normed, &labels);
-        let serving = Arc::new(ServingModel {
-            version,
-            checksum,
-            window: (job.start_day, job.end_day),
-            model: trained,
-            normed,
-            index,
-            labels,
-            class_names: vec!["unknown".to_string(), "mirai".to_string()],
-            centroids,
+            false
         });
-
-        // The swap: history first, then one atomic pointer store.
-        shared.swaps_lock().push(SwapRecord {
-            version,
-            checksum,
-            vocab: n,
-            window: (job.start_day, job.end_day),
-        });
-        *shared.model_write() = Some(Arc::clone(&serving));
-        shared.swap_count.fetch_add(1, Ordering::Relaxed);
-        shared.retrains.fetch_add(1, Ordering::Relaxed);
-        darkvec_obs::metrics::counter("serve.swaps").add(1);
-        darkvec_obs::metrics::counter("serve.retrains").add(1);
-        darkvec_obs::metrics::gauge("serve.model_version").set(version as f64);
-        darkvec_obs::metrics::gauge("serve.vocab").set(n as f64);
-        darkvec_obs::metrics::histogram("serve.retrain_ns").record_duration(started.elapsed());
-        darkvec_obs::info!(
-            "serve: model v{version} live — window {}..={}, vocab {}, {} ({:.2}s)",
-            job.start_day,
-            job.end_day,
-            n,
-            source,
-            started.elapsed().as_secs_f64()
-        );
-        // Lineage: match this window's clusters against the tracked
-        // lineages and publish any novelty alerts before the daemon
-        // reports itself idle again.
-        lineage_step(shared, &mut lineage, &job, &serving, &mirai, &svc_counts);
         shared.training.store(false, Ordering::SeqCst);
-        darkvec_obs::metrics::record_sample();
+        if swapped {
+            darkvec_obs::metrics::record_sample();
+        }
     }
+}
+
+/// One retrain: merges the job's shards, trains through the window step,
+/// builds the complete serving model, swaps it in as `version + 1` and
+/// runs the lineage step. Returns whether a model was swapped in.
+fn retrain(
+    shared: &Shared,
+    engine: &mut WindowEngine<'_>,
+    lineage: &mut LineageTracker,
+    version: &mut u64,
+    job: &TrainJob,
+) -> bool {
+    let cfg = &shared.cfg;
+    let started = Instant::now();
+
+    // Window corpus + label/centroid material from the shards. The
+    // corpus concatenation and vocabulary counting fan out across
+    // `shard_threads` (bit-identical to a serial merge).
+    let window: Vec<&[Vec<Ipv4>]> = job.shards.iter().map(|s| s.corpus.as_slice()).collect();
+    let merged = crate::shard::merge_window(&window, cfg.shard_threads);
+    let mut mirai: HashSet<Ipv4> = HashSet::new();
+    let mut svc_counts: HashMap<Ipv4, HashMap<ServiceId, u64>> = HashMap::new();
+    for shard in &job.shards {
+        // lint: nondeterministic-ok(set union — element insertion order cannot affect membership)
+        mirai.extend(shard.mirai.iter().copied());
+        // lint: nondeterministic-ok(integer sums into a map are commutative; consumers sort before any order-sensitive use)
+        for (ip, per_svc) in &shard.svc_counts {
+            let into = svc_counts.entry(*ip).or_default();
+            // lint: nondeterministic-ok(integer sums into a map are commutative)
+            for (&svc, &n) in per_svc {
+                *into.entry(svc).or_insert(0) += n;
+            }
+        }
+    }
+    let day_keys: Vec<u64> = job.shards.iter().map(|s| s.day_key).collect();
+    let step = engine.train(&merged, &job.services, &day_keys);
+    let source = step.source();
+    let trained = step.model;
+
+    if trained.embedding.is_empty() {
+        shared.fault(
+            "retrain produced an empty embedding",
+            &format!("window {}..={}", job.start_day, job.end_day),
+        );
+        return false;
+    }
+
+    // Build the complete serving model before it becomes visible.
+    let next = *version + 1;
+    let n = trained.embedding.len();
+    let dim = trained.embedding.dim();
+    let normed = Arc::new(Matrix::new(trained.embedding.vectors(), n, dim).normalized());
+    let index = cfg.backend.index_shared(Arc::clone(&normed), cfg.threads);
+    let labels: Vec<Label> = (0..n as u32)
+        .map(|id| {
+            if mirai.contains(trained.embedding.vocab().word(id)) {
+                LABEL_MIRAI
+            } else {
+                LABEL_UNKNOWN
+            }
+        })
+        .collect();
+    let centroids = build_centroids(&trained, &normed, &svc_counts);
+    let checksum = checksum_of(&normed, &labels);
+    let serving = Arc::new(ServingModel {
+        version: next,
+        checksum,
+        window: (job.start_day, job.end_day),
+        model: trained,
+        normed,
+        index,
+        labels,
+        class_names: vec!["unknown".to_string(), "mirai".to_string()],
+        centroids,
+    });
+
+    // The swap: history first, then one atomic pointer store.
+    shared.swaps_lock().push(SwapRecord {
+        version: next,
+        checksum,
+        vocab: n,
+        window: (job.start_day, job.end_day),
+    });
+    *shared.model_write() = Some(Arc::clone(&serving));
+    *version = next;
+    shared.swap_count.fetch_add(1, Ordering::Relaxed);
+    shared.retrains.fetch_add(1, Ordering::Relaxed);
+    darkvec_obs::metrics::counter("serve.swaps").add(1);
+    darkvec_obs::metrics::counter("serve.retrains").add(1);
+    darkvec_obs::metrics::gauge("serve.model_version").set(next as f64);
+    darkvec_obs::metrics::gauge("serve.vocab").set(n as f64);
+    darkvec_obs::metrics::histogram("serve.retrain_ns").record_duration(started.elapsed());
+    darkvec_obs::info!(
+        "serve: model v{next} live — window {}..={}, vocab {}, {} ({:.2}s)",
+        job.start_day,
+        job.end_day,
+        n,
+        source,
+        started.elapsed().as_secs_f64()
+    );
+    // Lineage: match this window's clusters against the tracked
+    // lineages and publish any novelty alerts before the daemon
+    // reports itself idle again.
+    lineage_step(shared, lineage, job, &serving, &mirai, &svc_counts);
+    true
 }
 
 /// Post-swap lineage step: clusters the freshly-swapped embedding,
@@ -979,6 +1012,7 @@ fn lineage_step(
         lineage.observe_with_presence((job.start_day, job.end_day), &observations, &present);
     darkvec_obs::metrics::counter("lineage.windows").add(1);
     darkvec_obs::metrics::gauge("lineage.tracked").set(lineage.records().len() as f64);
+    darkvec_obs::metrics::gauge("lineage.ledger").set(lineage.ledger_len() as f64);
     darkvec_obs::metrics::histogram("lineage.match_ns").record_duration(started.elapsed());
     if !alerts.is_empty() {
         darkvec_obs::metrics::counter("lineage.novel_alerts").add(alerts.len() as u64);

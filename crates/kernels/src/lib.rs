@@ -2,14 +2,13 @@
 //!
 //! The dense-linear-algebra kernels every hot path in this workspace runs
 //! on: the Word2Vec SGD inner loop, brute-force cosine kNN, silhouettes
-//! and the classic clustering algorithms. All of them reduce to four
+//! and the classic clustering algorithms. All of them reduce to three
 //! primitives over `f32` slices —
 //!
 //! * [`dot`] — inner product, and [`dot_rows`], one vector against every
 //!   row of a block, bit-identical to `dot` per row;
 //! * [`axpy`] — `y += α·x`;
 //! * [`scale`] — `y *= α`;
-//! * [`scale_add`] — `y = α·y + x`;
 //!
 //! plus [`normalize_rows`] (L2 row normalisation, itself `dot` + `scale`)
 //! and [`NormalizedMatrix`], the normalise-once matrix the cosine-space
@@ -30,8 +29,9 @@
 //!   latency-bound; this is also the `--no-simd` escape hatch
 //!   ([`set_simd_enabled`], or the `DARKVEC_NO_SIMD` environment variable);
 //! * **scalar** — the textbook sequential loop, kept as the reference the
-//!   parity tests and benchmark baselines compare against. Never selected
-//!   automatically; force it with [`force_path`].
+//!   parity tests compare every other path against. Never selected
+//!   automatically; the `*_on` functions (e.g. [`dot_on`]) run it
+//!   explicitly.
 //!
 //! Results are deterministic *per path*: a given path always reduces in
 //! the same order, so repeated runs on one machine/configuration are
@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// machine can actually execute one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Path {
-    /// Sequential reference loop (tests and baselines only).
+    /// Sequential reference loop (tests only).
     Scalar,
     /// 8 independent scalar accumulators; compiles everywhere.
     Portable,
@@ -141,7 +141,7 @@ fn untag(t: u8) -> Option<Path> {
 ///
 /// # Panics
 /// Panics if the path is not [`available`](Path::available) here.
-pub fn force_path(path: Option<Path>) {
+fn force_path(path: Option<Path>) {
     if let Some(p) = path {
         assert!(p.available(), "{} path unavailable on this CPU", p.name());
     }
@@ -210,7 +210,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     dot_on(active_path(), a, b)
 }
 
-/// [`dot`] on an explicit path (parity tests and benchmarks).
+/// [`dot`] on an explicit path (the parity tests).
 #[inline]
 pub fn dot_on(path: Path, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot length mismatch");
@@ -239,7 +239,7 @@ pub fn dot_rows(q: &[f32], rows: &[f32], out: &mut [f32]) {
     dot_rows_on(active_path(), q, rows, out);
 }
 
-/// [`dot_rows`] on an explicit path (parity tests and benchmarks). The
+/// [`dot_rows`] on an explicit path (the parity tests). The
 /// contract, asserted for every path by the parity suite, is
 /// `out[r].to_bits() == dot_on(path, q, row r).to_bits()`.
 ///
@@ -301,25 +301,6 @@ pub fn scale_on(path: Path, y: &mut [f32], alpha: f32) {
         scalar::scale(y, alpha),
         x86::scale(y, alpha),
         neon::scale(y, alpha)
-    )
-}
-
-/// `y = alpha · y + x` (scaled in-place accumulate).
-#[inline]
-pub fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
-    scale_add_on(active_path(), y, alpha, x);
-}
-
-/// [`scale_add`] on an explicit path.
-#[inline]
-pub fn scale_add_on(path: Path, y: &mut [f32], alpha: f32, x: &[f32]) {
-    debug_assert_eq!(x.len(), y.len(), "scale_add length mismatch");
-    on_path!(
-        path,
-        scalar::scale_add(y, alpha, x),
-        scalar::scale_add(y, alpha, x),
-        x86::scale_add(y, alpha, x),
-        neon::scale_add(y, alpha, x)
     )
 }
 
@@ -414,20 +395,6 @@ mod tests {
                 "{}: {got} vs {want}",
                 p.name()
             );
-        }
-    }
-
-    #[test]
-    fn scale_add_identity() {
-        for p in available_paths() {
-            let mut y = seeded(63, 3);
-            let x = seeded(63, 4);
-            let y0 = y.clone();
-            scale_add_on(p, &mut y, 2.0, &x);
-            for i in 0..63 {
-                let want = 2.0 * y0[i] + x[i];
-                assert!((y[i] - want).abs() < 1e-5, "{} idx {i}", p.name());
-            }
         }
     }
 

@@ -86,27 +86,3 @@ pub unsafe fn scale(y: &mut [f32], alpha: f32) {
         i += 1;
     }
 }
-
-/// `y = alpha · y + x`.
-///
-/// # Safety
-/// Caller must ensure NEON support and `x.len() >= y.len()` — both are
-/// accessed at offsets `0..y.len()`. No aliasing (borrow exclusivity),
-/// no alignment contract (unaligned-tolerant loads/stores).
-#[target_feature(enable = "neon")]
-pub unsafe fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let va = vdupq_n_f32(alpha);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let r = vfmaq_f32(vld1q_f32(px.add(i)), va, vld1q_f32(py.add(i)));
-        vst1q_f32(py.add(i), r);
-        i += 4;
-    }
-    while i < n {
-        *py.add(i) = alpha * *py.add(i) + *px.add(i);
-        i += 1;
-    }
-}

@@ -1,6 +1,5 @@
 //! Sequential reference kernels — the textbook loops every other path is
-//! verified against. Also the pre-SIMD performance baseline the `xp perf`
-//! experiment measures speedups over.
+//! verified against.
 
 /// Inner product, left-to-right.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -21,13 +20,6 @@ pub fn scale(y: &mut [f32], alpha: f32) {
     }
 }
 
-/// `y = alpha · y + x`, element order.
-pub fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi = alpha * *yi + xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,7 +37,5 @@ mod tests {
         assert_eq!(y, vec![21.0, 42.0]);
         scale(&mut y, 0.5);
         assert_eq!(y, vec![10.5, 21.0]);
-        scale_add(&mut y, 2.0, &[1.0, 1.0]);
-        assert_eq!(y, vec![22.0, 43.0]);
     }
 }

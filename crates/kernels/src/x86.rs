@@ -213,28 +213,3 @@ pub unsafe fn scale(y: &mut [f32], alpha: f32) {
         i += 1;
     }
 }
-
-/// `y = alpha · y + x`.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2+FMA and that
-/// `x.len() >= y.len()` — both are accessed at offsets `0..y.len()`.
-/// No aliasing (borrow exclusivity) and no alignment contract (`loadu`/
-/// `storeu`).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn scale_add(y: &mut [f32], alpha: f32, x: &[f32]) {
-    let n = y.len();
-    let px = x.as_ptr();
-    let py = y.as_mut_ptr();
-    let va = _mm256_set1_ps(alpha);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let r = _mm256_fmadd_ps(va, _mm256_loadu_ps(py.add(i)), _mm256_loadu_ps(px.add(i)));
-        _mm256_storeu_ps(py.add(i), r);
-        i += 8;
-    }
-    while i < n {
-        *py.add(i) = alpha * *py.add(i) + *px.add(i);
-        i += 1;
-    }
-}

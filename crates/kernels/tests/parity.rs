@@ -4,8 +4,7 @@
 //! misaligned sub-slices (SIMD paths must not assume alignment).
 
 use darkvec_kernels::{
-    available_paths, axpy_on, dot_on, dot_rows_on, normalize_rows_on, scale_add_on, scale_on,
-    squared_norm, Path,
+    available_paths, axpy_on, dot_on, dot_rows_on, normalize_rows_on, scale_on, squared_norm, Path,
 };
 
 /// Vector lengths exercising every tail case: below one lane, below one
@@ -203,29 +202,6 @@ fn scale_matches_scalar_on_every_path() {
                     &got[off..],
                     &want[off..],
                     &format!("scale len={len} off={off} {path:?}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn scale_add_matches_scalar_on_every_path() {
-    let mut rng = Rng(44);
-    for &len in LENS {
-        for &off in OFFSETS {
-            let x = rng.vec(len + off);
-            let y0 = rng.vec(len + off);
-            let alpha = rng.f32();
-            let mut want = y0.clone();
-            scale_add_on(Path::Scalar, &mut want[off..], alpha, &x[off..]);
-            for path in non_scalar_paths() {
-                let mut got = y0.clone();
-                scale_add_on(path, &mut got[off..], alpha, &x[off..]);
-                assert_slices_close(
-                    &got[off..],
-                    &want[off..],
-                    &format!("scale_add len={len} off={off} {path:?}"),
                 );
             }
         }

@@ -436,15 +436,9 @@ fn insert_bounded(best: &mut Vec<Neighbor>, k: usize, index: usize, similarity: 
     }
 }
 
-/// The `k` nearest rows to an external query vector (not a row of the
-/// matrix). Used when classifying new senders against a trained embedding.
-pub fn knn_query(matrix: Matrix<'_>, query: &[f32], k: usize) -> Vec<Neighbor> {
-    assert_eq!(query.len(), matrix.dim(), "query dimension mismatch");
-    let normed = matrix.normalized();
-    knn_query_normalized(&normed, query, k)
-}
-
-/// [`knn_query`] over an already-normalised matrix.
+/// The `k` nearest rows of an already-normalised matrix to an external
+/// query vector (not a row of the matrix); the query is L2-normalised
+/// here.
 ///
 /// # Panics
 /// Panics if `k == 0` or the query dimension does not match.
@@ -568,8 +562,8 @@ mod tests {
     #[test]
     fn knn_query_finds_nearest_group() {
         let data = grouped_matrix();
-        let m = Matrix::new(&data, 12, 2);
-        let res = knn_query(m, &[0.1, 0.95], 4);
+        let normed = Matrix::new(&data, 12, 2).normalized();
+        let res = knn_query_normalized(&normed, &[0.1, 0.95], 4);
         assert_eq!(res.len(), 4);
         for n in &res {
             assert!(

@@ -36,6 +36,6 @@ pub use classifier::{loo_knn_classify, LooOutcome};
 pub use dbscan::{dbscan, DbscanConfig};
 pub use hac::{hac_average, Dendrogram};
 pub use kmeans::{kmeans, KMeansConfig};
-pub use knn::{knn_all, knn_batch, knn_query, Neighbor};
+pub use knn::{knn_all, knn_batch, Neighbor};
 pub use metrics::{ClassReport, ConfusionMatrix};
 pub use vectors::{cosine, normalize_rows, normalize_vec, Matrix};

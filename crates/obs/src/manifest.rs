@@ -170,11 +170,6 @@ impl ManifestBuilder {
         write_atomic(&path, self.finish().pretty().as_bytes())?;
         Ok(path)
     }
-
-    /// [`write`](Self::write) into [`DEFAULT_DIR`].
-    pub fn write_default(&self) -> io::Result<PathBuf> {
-        self.write(Path::new(DEFAULT_DIR))
-    }
 }
 
 /// Writes via a unique temp file + rename so a crash mid-write can't

@@ -83,11 +83,6 @@ impl<K: Eq + Hash + Clone> Counter<K> {
     pub fn values(&self) -> Vec<u64> {
         self.counts.values().copied().collect()
     }
-
-    /// Consumes the counter and returns the raw map.
-    pub fn into_map(self) -> HashMap<K, u64> {
-        self.counts
-    }
 }
 
 impl<K: Eq + Hash + Clone> FromIterator<K> for Counter<K> {

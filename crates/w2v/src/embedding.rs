@@ -122,14 +122,6 @@ impl<W: Eq + Hash + Clone + Ord> Embedding<W> {
             .collect()
     }
 
-    /// A copy with L2-normalised rows, so cosine similarity becomes a dot
-    /// product — what the kNN search wants.
-    pub fn normalized(&self) -> Embedding<W> {
-        let mut vectors = self.vectors.clone();
-        darkvec_kernels::normalize_rows(&mut vectors, self.dim.max(1));
-        Embedding::from_parts(self.vocab.clone(), vectors, self.dim)
-    }
-
     /// The exact all-rows kNN scan of these rows at `k`
     /// ([`AllRowsKnn::scan`], `threads` as there): a live scan at `k` that
     /// another consumer holds, else a new one.
@@ -327,20 +319,6 @@ mod tests {
         assert_eq!(sims[0].0, "z");
         assert!(sims[0].1 > sims[1].1);
         assert!(e.most_similar(&"nope".to_string(), 3).is_empty());
-    }
-
-    #[test]
-    fn normalized_rows_have_unit_norm() {
-        let e = sample().normalized();
-        for id in 0..e.len() as TokenId {
-            let n: f32 = e.row(id).iter().map(|x| x * x).sum::<f32>().sqrt();
-            assert!((n - 1.0).abs() < 1e-6);
-        }
-        // Normalisation preserves cosine similarity.
-        let orig = sample();
-        let a = orig.cosine(&"x".into(), &"z".into()).unwrap();
-        let b = e.cosine(&"x".into(), &"z".into()).unwrap();
-        assert!((a - b).abs() < 1e-6);
     }
 
     #[test]

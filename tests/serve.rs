@@ -14,6 +14,8 @@ use darkvec::supervised::Evaluation;
 use darkvec::unsupervised::{cluster_embedding, ClusterConfig};
 use darkvec::{Client, Daemon, ServeConfig};
 use darkvec_gen::{pump, simulate, PacketStream, SimConfig};
+use darkvec_ml::ann::NeighborBackend;
+use darkvec_ml::knn::knn_batch;
 use darkvec_types::{Ipv4, Packet, Protocol, Timestamp, Trace, DAY};
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -507,6 +509,78 @@ fn query_burst_during_retrain_is_lossless_and_swaps_are_atomic() {
             "daemon and batch classification disagree for {ip}"
         );
     }
+}
+
+/// A daemon serving through HNSW: every in-vocabulary probe is answered
+/// by the current version without a fault, and the replies' neighbours
+/// recall at least 90 % of an exact scan over the served rows.
+#[test]
+fn hnsw_backend_serves_every_probe_with_exact_scan_recall() {
+    let mut cfg = tiny_serve_cfg();
+    cfg.backend = NeighborBackend::ann();
+    let k = cfg.k;
+    let (daemon, tx) = start(cfg);
+    feed_and_settle(&daemon, tx, fixture_trace(3, 11));
+    let model = daemon.current_model().expect("model live");
+    let emb = &model.model.embedding;
+    let exact = knn_batch(&model.normed, emb.vectors(), k, 1);
+
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let (mut hits, mut wanted) = (0usize, 0usize);
+    for (id, truth) in exact.iter().enumerate() {
+        let ip = *emb.vocab().word(id as u32);
+        let reply = client.classify(ip, &[], k as u16).unwrap().unwrap();
+        assert_eq!(
+            (reply.version, reply.checksum),
+            (model.version, model.checksum)
+        );
+        let truth: Vec<Ipv4> = truth
+            .iter()
+            .map(|n| *emb.vocab().word(n.index as u32))
+            .collect();
+        hits += reply
+            .neighbors
+            .iter()
+            .filter(|(n, _)| truth.contains(n))
+            .count();
+        wanted += truth.len();
+    }
+    let recall = hits as f64 / wanted as f64;
+    assert!(recall >= 0.9, "HNSW recall@{k} {recall:.3} over {wanted}");
+    assert_eq!(daemon.stats().errors, 0);
+}
+
+/// A retrain that panics is one counted fault, not a dead trainer: the
+/// daemon goes idle again, serves no model, and keeps answering.
+/// `epochs = 0` passes the daemon's config checks but trips the
+/// trainer's own `epochs > 0` assertion on every window.
+#[test]
+fn a_panicking_retrain_is_counted_and_the_trainer_survives() {
+    let mut cfg = tiny_serve_cfg();
+    cfg.cfg.w2v.epochs = 0;
+    let (daemon, tx) = start(cfg);
+    let trace = fixture_trace(3, 11);
+    let sent = pump(PacketStream::from_trace(trace), &tx, 1024);
+    assert!(sent > 0);
+    drop(tx);
+    // The first window was scheduled when day 1 was sealed, before the
+    // ingest sealed the last day.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while daemon.stats().days < 3 {
+        assert!(Instant::now() < deadline, "ingest never sealed the days");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(
+        daemon.wait_idle(Duration::from_secs(60)),
+        "a panicking retrain wedged the trainer"
+    );
+    assert!(daemon.stats().errors >= 1, "the panic was not counted");
+    assert!(daemon.current_model().is_none());
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    client.ping().unwrap();
+    let status = client.status().unwrap();
+    assert!(!status.ready);
+    assert!(status.errors >= 1);
 }
 
 #[test]
